@@ -1,5 +1,4 @@
-// Thread-safety capability annotations for the ShardedSim transition
-// (ROADMAP item 1, DESIGN.md §6 rule L8).
+// Thread-safety capability annotations (DESIGN.md §6 rule L8).
 //
 // The macros map to clang's -Wthread-safety capability attributes when the
 // compiler understands them and expand to nothing everywhere else, so gcc
@@ -18,9 +17,10 @@
 //     and every declared mutex must be referenced by at least one
 //     annotation — an unannotated lock guards nothing the analyzer can see.
 //
-// Until ShardedSim lands the tree holds zero mutexes (the engine is
-// single-threaded by design); scale::common::Mutex below is the type new
-// cross-shard state must use so its guards are analyzable from day one.
+// The simulator starts no threads, so the tree holds zero mutexes (the
+// engine is single-threaded by design); scale::common::Mutex below is the
+// type any future cross-thread state must use so its guards are analyzable
+// from day one.
 #pragma once
 
 #include <mutex>

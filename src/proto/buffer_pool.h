@@ -113,8 +113,8 @@ class BufferPool {
 
   /// The per-thread pool every codec/fabric hot path shares.
   static BufferPool& local() {
-    // lint: shard-local — thread_local: each ShardedSim worker gets its own
-    // pool, so buffers never cross a shard boundary.
+    // lint: shard-local — thread_local: each thread gets its own pool, so
+    // buffers never cross a thread boundary.
     static thread_local BufferPool pool;
     return pool;
   }
@@ -144,8 +144,8 @@ struct BlockCache {
 
 template <typename T>
 inline std::vector<void*>& block_freelist() {
-  // lint: shard-local — thread_local: per-worker free list; a block parked
-  // by one shard is never handed to another.
+  // lint: shard-local — thread_local: per-thread free list; a block parked
+  // by one thread is never handed to another.
   static thread_local BlockCache<T> cache;
   return cache.blocks;
 }

@@ -41,37 +41,6 @@ void Engine::run_until(Time t) {
   now_ = t;
 }
 
-std::uint64_t Engine::run_until(Time t, std::uint64_t limit) {
-  SCALE_CHECK(t >= now_);
-  std::uint64_t fired = 0;
-  while (!heap_.empty() && fired < limit) {
-    const HeapEntry top = heap_[0];
-    if (stale_ != 0 && pool_[top.slot()].seq != top.seq()) {
-      heap_pop_top();
-      --stale_;
-      continue;
-    }
-    if (top.at_us > t.count_us()) break;
-    fire_top(top);
-    ++fired;
-  }
-  if (fired < limit) now_ = t;
-  return fired;
-}
-
-Time Engine::next_event_time() {
-  while (!heap_.empty()) {
-    const HeapEntry top = heap_[0];
-    if (stale_ != 0 && pool_[top.slot()].seq != top.seq()) {
-      heap_pop_top();
-      --stale_;
-      continue;
-    }
-    return Time::from_us(top.at_us);
-  }
-  return Time::max();
-}
-
 void Engine::export_metrics(obs::MetricsRegistry& reg,
                             const std::string& prefix) const {
   reg.set_counter(prefix + ".events_processed", processed_);

@@ -6,9 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "core/cluster.h"
 #include "testbed/crash_world.h"
+#include "testbed/testbed.h"
 
 namespace scale {
 namespace {
@@ -209,6 +214,95 @@ TEST(Chaos, ShedDisabledKeepsSeedBehaviour) {
   for (const auto& mmp : w.cluster->mmps()) sheds += mmp->overload_sheds();
   EXPECT_EQ(sheds, 0u);
   EXPECT_EQ(registered_count(w), w.site->ues.size());
+}
+
+struct TwoDcRun {
+  std::string trajectory;
+  sim::FaultCounters faults;
+};
+
+/// Two-DC SCALE world: one site + one small cluster per DC, reliable
+/// transport, 3% stochastic loss (plus dups/reorders), and a scripted
+/// DC0<->DC1 partition positioned inside DC 1's registration window, so it
+/// cuts DC 1's attaches off from the (DC-0) HSS mid-flight. Everything
+/// observable is folded into a string so runs compare byte-for-byte.
+TwoDcRun two_dc_partition_run() {
+  testbed::Testbed::Config tcfg;
+  tcfg.seed = 99;
+  tcfg.transport.reliable = true;
+  tcfg.ue_guard_timeout = Duration::sec(10.0);
+  testbed::Testbed tb(tcfg);
+  constexpr std::uint32_t kDcs = 2;
+
+  std::vector<testbed::Testbed::Site*> sites;
+  for (std::uint32_t dc = 0; dc < kDcs; ++dc)
+    sites.push_back(&tb.add_site(1, static_cast<proto::Tac>(dc + 1),
+                                 Duration::ms(1.0), dc));
+  tb.network().set_dc_latency(0, 1, Duration::ms(15.0));
+  sim::LinkFaults f;
+  f.drop_prob = 0.03;
+  f.dup_prob = 0.01;
+  f.reorder_prob = 0.01;
+  tb.network().set_global_faults(f);
+  // DC 1 registers over [11s, 41s); the partition window sits inside it.
+  tb.network().schedule_partition(0, 1, Time::from_us(14'000'000),
+                                  Time::from_us(16'000'000));
+
+  std::vector<std::unique_ptr<core::ScaleCluster>> clusters;
+  for (std::uint32_t dc = 0; dc < kDcs; ++dc) {
+    core::ScaleCluster::Config cfg;
+    cfg.home_dc = dc;
+    cfg.mme_group = static_cast<std::uint16_t>(100 + dc);
+    cfg.initial_mmps = 2;
+    cfg.first_vm_code = static_cast<std::uint8_t>(1 + dc * 50);
+    cfg.provisioner.min_vms = 2;
+    cfg.provisioner.max_vms = 2;
+    cfg.seed = 7 + dc;
+    clusters.push_back(std::make_unique<core::ScaleCluster>(
+        tb.fabric(), sites[dc]->sgw->node(), tb.hss().node(), cfg));
+    clusters[dc]->connect_enb(*sites[dc]->enbs[0]);
+    tb.assign_dc(clusters[dc]->mlb().node(), dc);
+    for (auto& mmp : clusters[dc]->mmps()) tb.assign_dc(mmp->node(), dc);
+  }
+  for (auto& c : clusters) c->start();
+
+  for (std::uint32_t dc = 0; dc < kDcs; ++dc)
+    tb.make_ues(*sites[dc], 15, {0.9, 0.4});
+  tb.register_all(*sites[0], Duration::sec(3.0), Duration::sec(8.0));
+  tb.register_all(*sites[1], Duration::sec(10.0), Duration::sec(20.0));
+  tb.run_for(Duration::sec(5.0));  // settle reattach stragglers
+
+  std::ostringstream os;
+  os << tb.network().messages_sent() << '|' << tb.network().bytes_sent()
+     << '|' << tb.failures() << '|' << tb.engine().events_processed();
+  for (std::uint32_t dc = 0; dc < kDcs; ++dc) {
+    std::size_t registered = 0;
+    for (const auto& ue : sites[dc]->ues)
+      if (ue->registered()) ++registered;
+    os << '|' << registered;
+    for (auto& mmp : clusters[dc]->mmps())
+      os << ':' << mmp->requests_handled() << ',' << mmp->app().store().size();
+  }
+  const sim::FaultCounters fc = tb.network().fault_counters();
+  os << '|' << fc.random_drops << ':' << fc.partition_drops << ':'
+     << fc.duplicates << ':' << fc.reorders;
+  const auto merged = tb.delays().merged();
+  os << '|' << merged.count();
+  if (merged.count() > 0)
+    os << ':' << merged.percentile(0.5) << ':' << merged.percentile(0.99);
+  return {os.str(), fc};
+}
+
+TEST(Chaos, TwoDcPartitionRunReplaysByteIdentical) {
+  // Stochastic loss plus a scripted cross-DC partition: the fault draws come
+  // from the seeded fault stream and the partition from topology, so the
+  // whole trajectory — drops, retransmissions, reattaches — replays.
+  const TwoDcRun a = two_dc_partition_run();
+  const TwoDcRun b = two_dc_partition_run();
+  EXPECT_EQ(a.trajectory, b.trajectory);
+  // Non-vacuous: the partition and the stochastic faults actually fired.
+  EXPECT_GT(a.faults.partition_drops, 0u);
+  EXPECT_GT(a.faults.random_drops, 0u);
 }
 
 }  // namespace

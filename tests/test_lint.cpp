@@ -206,7 +206,7 @@ TEST(ScaleLintJson, RealTreeReportIsCleanAndInventoriesWaivers) {
   // The audited singletons (BufferPool::local, block_freelist,
   // action_block_freelist, Tracer::current_) plus the L2/L5 waivers must all
   // be inventoried — the report is how a reviewer sees the audit surface.
-  // Since ShardedSim made Tracer::current_ thread_local the tree holds no
+  // Since Tracer::current_ became thread_local the tree holds no
   // shard-shared singleton at all (every audited global is per-worker), so
   // the real tree asserts shard-local presence and only *validates* any
   // shard-shared waiver that ever reappears; the fixture tree keeps the
@@ -214,7 +214,9 @@ TEST(ScaleLintJson, RealTreeReportIsCleanAndInventoriesWaivers) {
   // the MLB's load/backoff maps into the ordered MmpLoadView, retiring its
   // three order-independent waivers; the MillionUE slab store retired the
   // two UeContextStore ones — its FlatIndex tables are plain vectors.)
-  EXPECT_GE(doc->find("waivers")->size(), 9u);
+  // The floor is today's five: the four shard-local singletons and the
+  // eNodeB's order-independent release sweep.
+  EXPECT_GE(doc->find("waivers")->size(), 5u);
   bool saw_shard_local = false;
   for (const auto& w : doc->find("waivers")->elements()) {
     if (w.find("kind")->as_string() == "shard-local") saw_shard_local = true;

@@ -4,11 +4,10 @@
 // byte-identically (DESIGN.md §6). The classic regressions — emitting events
 // from an unordered_map walk, reading the wall clock, seeding an RNG from
 // entropy — compile fine, pass most tests, and silently break replay. This
-// tool makes them build failures instead of review findings. Since PR 7 it
-// also proves the tree *shard-clean* ahead of ShardedSim (ROADMAP item 1):
-// hidden process-global mutable state and cross-layer include back-edges are
-// exactly what breaks determinism the day one engine shard per DC lands on
-// its own worker thread.
+// tool makes them build failures instead of review findings. It also proves
+// the tree *shard-clean*: hidden process-global mutable state and
+// cross-layer include back-edges are exactly what breaks determinism the day
+// any engine runs on its own worker thread.
 //
 // It is deliberately a *lexer*, not a compiler plugin: comments and string
 // literals are blanked (preserving line/column structure) and the rules match
@@ -53,7 +52,7 @@
 //       carry `// lint: shard-local` (confined to one shard/worker thread)
 //       or `// lint: shard-shared(<reason>)` (deliberately process-global)
 //       on its line or the line above. Unannotated globals are exactly the
-//       state ShardedSim would silently share across workers.
+//       state any future worker thread would silently share.
 //   L7  layering DAG over src/ quoted includes. Declared order (a layer may
 //       include itself and anything of strictly lower rank):
 //           common < hash < proto < obs < sim < epc < mme < core
@@ -1040,8 +1039,8 @@ void check_l7(const FileIndex& fi, std::vector<Finding>& out) {
              "' may not depend on '" + to +
              "' (declared DAG, DESIGN.md §6; allowed from here: " +
              (allowed.empty() ? "nothing below" : allowed) +
-             "). A back-edge here becomes a cross-shard reference the day "
-             "ShardedSim lands"});
+             "). A back-edge here becomes a cross-thread reference the day "
+             "a layer runs on a worker thread"});
   }
 }
 
