@@ -225,6 +225,42 @@ PhaseResult phase_codec_decode(std::uint64_t div) {
   });
 }
 
+/// Envelope mix the fabric sizes on every hop: a bare S1AP message, the
+/// reliable-shim segment of an MLB forward, a reply wrapping that segment
+/// (three deep) and an overload reject carrying the shed request.
+std::vector<proto::Pdu> envelope_mix() {
+  proto::ClusterForward fwd;
+  fwd.origin = 9;
+  fwd.guti = proto::Guti{310, 17, 3, 0xBEEF01};
+  fwd.inner = proto::box(attach_pdu());
+  const proto::Pdu segment = proto::make_pdu(proto::TransportData{
+      .seq = 42, .attempt = 0, .inner = proto::box(proto::make_pdu(fwd))});
+  proto::ClusterReply reply;
+  reply.target = 9;
+  reply.inner = proto::box(segment);
+  proto::OverloadReject rej;
+  rej.mmp_node = 4;
+  rej.origin = 9;
+  rej.guti = fwd.guti;
+  rej.inner = proto::box(attach_pdu());
+  return {attach_pdu(), segment, proto::make_pdu(reply),
+          proto::make_pdu(rej)};
+}
+
+PhaseResult phase_codec_wire_size(std::uint64_t div) {
+  // Built before the measured window: the gate is that sizing allocates
+  // nothing, however deep the envelope.
+  const std::vector<proto::Pdu> mix = envelope_mix();
+  return run_phase([div, &mix](PhaseResult& r) {
+    const std::uint64_t kIters = 400'000 / div;
+    std::uint64_t bytes = 0;
+    for (std::uint64_t i = 0; i < kIters; ++i)
+      bytes += proto::wire_size(mix[i % mix.size()]);
+    r.ops = kIters;
+    r.bytes = bytes;
+  });
+}
+
 /// Ping-pong endpoint: every received PDU is sent straight back until the
 /// hop budget is spent — the eNB→MLB→MMP delivery machinery (wire-size
 /// accounting, fault check, engine event per hop) without protocol logic.
@@ -536,6 +572,7 @@ int main(int argc, char** argv) {
       {"engine_cancel_churn", phase_engine_cancel_churn(div)},
       {"codec_encode", phase_codec_encode(div)},
       {"codec_decode", phase_codec_decode(div)},
+      {"codec_wire_size", phase_codec_wire_size(div)},
       {"fabric_hop", phase_fabric_hop(div)},
       {"buffer_pool", phase_buffer_pool(div)},
   };

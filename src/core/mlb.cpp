@@ -197,9 +197,8 @@ void Mlb::route_initial(NodeId from, const proto::InitialUeMessage& msg) {
   }
   // Policy steering among the preference-list nodes — only at Idle→Active
   // (§4.6: subsequent requests stick to the chosen VM until Idle).
-  const auto prefs =
-      ring_.preference_list(guti.key(), policy_->candidate_width());
-  const NodeId chosen = steer(guti.key(), prefs);
+  ring_.preference_list(guti.key(), policy_->candidate_width(), prefs_);
+  const NodeId chosen = steer(guti.key(), prefs_);
   ++initial_routed_;
   forward(chosen, from, guti, proto::make_pdu(msg));
 }

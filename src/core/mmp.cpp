@@ -311,27 +311,26 @@ void MmpNode::replicate_local(UeContext& ctx) {
   }
   if (ring_ == nullptr || ring_->empty()) return;
   const unsigned copies = policy_ != nullptr ? policy_->local_copies : 2;
-  const auto prefs =
-      ring_->preference_list(ctx.key(), std::max(2u, copies));
-  if (prefs.empty()) return;
-  if (prefs[0] == node()) {
+  ring_->preference_list(ctx.key(), std::max(2u, copies), prefs_);
+  if (prefs_.empty()) return;
+  if (prefs_[0] == node()) {
     // This VM is the hash-ring master: replicate to the next R−1 distinct
     // ring successors, gated by the (access-aware) policy.
     if (ctx.role != ContextRole::kMaster)
       app().store().set_role(ctx, ContextRole::kMaster);
-    if (prefs.size() < 2 || copies < 2) return;
+    if (prefs_.size() < 2 || copies < 2) return;
     if (policy_ != nullptr &&
         !policy_->should_replicate(ctx.rec.access_freq, rng_))
       return;
-    for (std::size_t i = 1; i < prefs.size() && i < copies; ++i)
-      push_replica(prefs[i], ctx.rec, /*geo=*/false);
+    for (std::size_t i = 1; i < prefs_.size() && i < copies; ++i)
+      push_replica(prefs_[i], ctx.rec, /*geo=*/false);
   } else {
     // This VM served the request as the replica (fine-grained load
     // balancing, §4.6): the master copy must always be brought up to date,
     // regardless of replication policy.
     if (ctx.role == ContextRole::kMaster)
       app().store().set_role(ctx, ContextRole::kReplica);
-    push_replica(prefs[0], ctx.rec, /*geo=*/false);
+    push_replica(prefs_[0], ctx.rec, /*geo=*/false);
   }
 }
 

@@ -50,9 +50,7 @@ bool Fabric::is_registered(NodeId id) const {
 }
 
 void Fabric::send(NodeId from, NodeId to, proto::Pdu pdu) {
-  const std::size_t bytes =
-      account_bytes_ ? proto::wire_size(pdu) : std::size_t{64};
-  network_.record_transfer(from, to, bytes);
+  network_.record_transfer(from, to, proto::wire_size(pdu));
   Duration latency = network_.delay(from, to);
   if (network_.faults_enabled()) {
     const sim::FaultVerdict v =

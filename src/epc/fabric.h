@@ -2,7 +2,8 @@
 //
 // Every addressable entity (eNodeB, MLB, MMP, classic MME, S-GW, HSS)
 // registers as an Endpoint and gets a NodeId. `send` applies the Network's
-// propagation delay and byte accounting, then delivers the PDU. Delivery to
+// propagation delay and byte accounting (proto::wire_size, which counts the
+// encoded bytes without encoding them), then delivers the PDU. Delivery to
 // an unregistered node (e.g. an MMP VM that was just de-provisioned) is
 // counted and dropped — exactly what a closed TCP/SCTP association does.
 //
@@ -86,10 +87,6 @@ class Fabric {
   /// delayed according to the fault verdict for this link.
   void send(NodeId from, NodeId to, proto::Pdu pdu);
 
-  /// When disabled, skips the encode pass used for byte accounting
-  /// (message counters still work) — for very large simulations.
-  void set_byte_accounting(bool on) { account_bytes_ = on; }
-
   /// Reliability-shim policy; endpoints snapshot this at construction, so
   /// set it before building the world.
   void set_transport(const TransportConfig& cfg) { transport_ = cfg; }
@@ -129,7 +126,6 @@ class Fabric {
   sim::Network& network_;
   std::unordered_map<NodeId, Endpoint*> endpoints_;
   NodeId next_id_ = 1;
-  bool account_bytes_ = true;
   std::uint64_t dropped_ = 0;
   TransportConfig transport_;
 

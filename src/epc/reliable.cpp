@@ -88,8 +88,12 @@ void ReliableChannel::on_timeout(NodeId to, std::uint64_t seq) {
 
 bool ReliableChannel::register_seq(PeerRx& rx, std::uint64_t seq) {
   if (seq <= rx.cum) return false;
-  if (!rx.above.insert(seq).second) return false;
-  // Advance the cumulative watermark over any now-contiguous prefix.
+  // Out of order: hold it above the gap (the gap itself is still missing,
+  // so the watermark cannot move).
+  if (seq != rx.cum + 1) return rx.above.insert(seq).second;
+  // In order — the common case — needs no set node: advance the watermark,
+  // then absorb any buffered run this segment made contiguous.
+  ++rx.cum;
   auto it = rx.above.begin();
   while (it != rx.above.end() && *it == rx.cum + 1) {
     ++rx.cum;

@@ -69,19 +69,25 @@ RingNodeId ConsistentHashRing::owner(std::uint64_t key) const {
 
 std::vector<RingNodeId> ConsistentHashRing::preference_list(
     std::uint64_t key, std::size_t n) const {
-  SCALE_CHECK_MSG(!ring_.empty(), "preference_list() on empty ring");
   std::vector<RingNodeId> out;
-  out.reserve(std::min(n, nodes_.size()));
+  preference_list(key, n, out);
+  return out;
+}
+
+void ConsistentHashRing::preference_list(std::uint64_t key, std::size_t n,
+                                         std::vector<RingNodeId>& out) const {
+  SCALE_CHECK_MSG(!ring_.empty(), "preference_list() on empty ring");
+  out.clear();
+  const std::size_t want = std::min(n, nodes_.size());
+  out.reserve(want);
   std::size_t idx = first_token_at_or_after(position_of_key(key));
-  for (std::size_t walked = 0;
-       walked < ring_.size() && out.size() < std::min(n, nodes_.size());
+  for (std::size_t walked = 0; walked < ring_.size() && out.size() < want;
        ++walked) {
     const RingNodeId candidate = ring_[idx].second;
     if (std::find(out.begin(), out.end(), candidate) == out.end())
       out.push_back(candidate);
     idx = (idx + 1) % ring_.size();
   }
-  return out;
 }
 
 std::optional<RingNodeId> ConsistentHashRing::replica_of(

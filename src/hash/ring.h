@@ -65,6 +65,11 @@ class ConsistentHashRing {
   std::vector<RingNodeId> preference_list(std::uint64_t key,
                                           std::size_t n) const;
 
+  /// Same list written into `out` (cleared first; its capacity is kept), so
+  /// per-procedure callers reuse one scratch vector instead of allocating.
+  void preference_list(std::uint64_t key, std::size_t n,
+                       std::vector<RingNodeId>& out) const;
+
   /// The single replica target (second entry of the preference list), or
   /// nullopt when the ring has only one node.
   std::optional<RingNodeId> replica_of(std::uint64_t key) const;

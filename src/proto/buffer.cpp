@@ -7,19 +7,25 @@ namespace scale::proto {
 
 // ----------------------------------------------------------------- ByteWriter
 
-void ByteWriter::u8(std::uint8_t v) { out_.push_back(v); }
+void ByteWriter::u8(std::uint8_t v) {
+  if (count_only(1)) return;
+  out_.push_back(v);
+}
 
 void ByteWriter::u16(std::uint16_t v) {
+  if (count_only(2)) return;
   out_.push_back(static_cast<std::uint8_t>(v >> 8));
   out_.push_back(static_cast<std::uint8_t>(v & 0xFF));
 }
 
 void ByteWriter::u32(std::uint32_t v) {
+  if (count_only(4)) return;
   for (int shift = 24; shift >= 0; shift -= 8)
     out_.push_back(static_cast<std::uint8_t>((v >> shift) & 0xFF));
 }
 
 void ByteWriter::u64(std::uint64_t v) {
+  if (count_only(8)) return;
   for (int shift = 56; shift >= 0; shift -= 8)
     out_.push_back(static_cast<std::uint8_t>((v >> shift) & 0xFF));
 }
@@ -34,13 +40,23 @@ void ByteWriter::f64(double v) {
 void ByteWriter::boolean(bool v) { u8(v ? 1 : 0); }
 
 void ByteWriter::bytes(std::span<const std::uint8_t> data) {
+  if (count_only(data.size())) return;
   out_.insert(out_.end(), data.begin(), data.end());
 }
 
 void ByteWriter::str(std::string_view s) {
   if (s.size() > UINT16_MAX) throw CodecError("string too long to encode");
   u16(static_cast<std::uint16_t>(s.size()));
+  if (count_only(s.size())) return;
   out_.insert(out_.end(), s.begin(), s.end());
+}
+
+void ByteWriter::patch_u32(std::size_t offset, std::uint32_t v) {
+  if (counting_) return;
+  if (offset + 4 > out_.size()) throw CodecError("patch past end of buffer");
+  for (int i = 0; i < 4; ++i)
+    out_[offset + static_cast<std::size_t>(i)] =
+        static_cast<std::uint8_t>((v >> (24 - 8 * i)) & 0xFF);
 }
 
 // ----------------------------------------------------------------- ByteReader

@@ -31,6 +31,16 @@ class ByteWriter {
     out_.clear();
   }
 
+  /// A writer that stores nothing: every put only advances size() by the
+  /// bytes it would have written. Running an encoder through it measures a
+  /// PDU's wire size with the encoder as the single source of its layout,
+  /// at zero allocations.
+  [[nodiscard]] static ByteWriter counting() {
+    ByteWriter w;
+    w.counting_ = true;
+    return w;
+  }
+
   void u8(std::uint8_t v);
   void u16(std::uint16_t v);
   void u32(std::uint32_t v);
@@ -47,12 +57,25 @@ class ByteWriter {
     if (v) (this->*put)(*v);
   }
 
+  /// Overwrite the 4 bytes at `offset` (already written) with big-endian
+  /// `v` — backpatches a length placeholder. No-op in counting mode.
+  void patch_u32(std::size_t offset, std::uint32_t v);
+
   const std::vector<std::uint8_t>& data() const { return out_; }
   std::vector<std::uint8_t> take() { return std::move(out_); }
-  std::size_t size() const { return out_.size(); }
+  std::size_t size() const { return counting_ ? counted_ : out_.size(); }
 
  private:
+  /// Counting mode: account `n` bytes and tell the caller to store nothing.
+  bool count_only(std::size_t n) {
+    if (!counting_) return false;
+    counted_ += n;
+    return true;
+  }
+
   std::vector<std::uint8_t> out_;
+  std::size_t counted_ = 0;
+  bool counting_ = false;
 };
 
 class ByteReader {

@@ -1,11 +1,12 @@
-// BufferPool — free-list recycling for the PDU byte buffers and PduBox
-// heap blocks on the simulator hot path.
+// BufferPool — free-list recycling for PDU byte buffers and PduBox heap
+// blocks.
 //
-// Every fabric send encodes the PDU once for byte accounting, and every
-// envelope hop (MLB forward, MMP reply, reliability-shim segment) boxes a
-// Pdu behind a shared_ptr. Unpooled, that is two-plus heap allocations per
-// simulated message — at the million-procedure scales of Figs. 7-11 the
-// allocator dominates the profile. The pools below recycle both:
+// Every envelope hop (MLB forward, MMP reply, reliability-shim segment)
+// boxes a Pdu behind a shared_ptr; unpooled, that is a heap allocation per
+// simulated message, and at the million-procedure scales of Figs. 7-11 the
+// allocator would dominate the profile. Fabric byte accounting does not
+// encode (proto::wire_size counts), so the byte-buffer pool serves only
+// explicit encode_pdu_pooled callers (benches, tests). The pools:
 //
 //   * BufferPool: capacity-preserving std::vector<uint8_t> free list. A
 //     recycled buffer keeps its high-water capacity, so steady-state encode
@@ -16,8 +17,8 @@
 //     control-block+PduBox allocation instead of hitting the heap twice.
 //
 // Both pools are thread_local: the simulator is single-threaded per engine,
-// and per-thread free lists keep the TSan leg and any future parallel-MMP
-// work race-free with zero locking. Recycling is LIFO; nothing observable
+// and per-thread free lists keep any future parallel-MMP work race-free
+// with zero locking. Recycling is LIFO; nothing observable
 // depends on block identity, so determinism is unaffected (DESIGN.md §8).
 #pragma once
 

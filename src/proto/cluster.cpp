@@ -7,12 +7,18 @@ namespace scale::proto {
 
 namespace {
 
+// Inner PDU as a u32 length then encode_pdu(inner), written in place: the
+// length goes out as a placeholder and is backpatched once the inner encode
+// has run, so nesting costs no intermediate buffer (and counting writers
+// stay allocation-free).
 void encode_boxed(const PduRef& ref, ByteWriter& w) {
   if (!ref) throw CodecError("cannot encode null inner PDU");
-  const auto bytes = encode_pdu(ref->value);
-  if (bytes.size() > UINT32_MAX) throw CodecError("inner PDU too large");
-  w.u32(static_cast<std::uint32_t>(bytes.size()));
-  w.bytes(bytes);
+  const std::size_t len_at = w.size();
+  w.u32(0);
+  encode_pdu_into(ref->value, w);
+  const std::size_t len = w.size() - len_at - 4;
+  if (len > UINT32_MAX) throw CodecError("inner PDU too large");
+  w.patch_u32(len_at, static_cast<std::uint32_t>(len));
 }
 
 PduRef decode_boxed(ByteReader& r) {

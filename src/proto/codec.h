@@ -2,8 +2,8 @@
 //
 // encode_pdu/decode_pdu round-trip every message in the system; the MLB's
 // protocol-parsing path and the codec tests/benches exercise them. wire_size
-// reports the encoded size for network byte accounting without materializing
-// the buffer twice.
+// reports the encoded size for network byte accounting by counting, not
+// encoding: no byte is stored.
 #pragma once
 
 #include <cstdint>
@@ -27,8 +27,9 @@ void encode_pdu_into(const Pdu& pdu, ByteWriter& w);
 /// steady state. The handle recycles the storage when it goes out of scope.
 PooledBuffer encode_pdu_pooled(const Pdu& pdu);
 
-/// Encoded size in bytes. Encodes into a pooled scratch buffer, so the
-/// steady-state cost is the encode itself, not an allocation.
+/// Encoded size in bytes: runs encode_pdu_into through a counting
+/// ByteWriter, so nothing is stored and nothing is allocated, and the size
+/// can never drift from the encoder's layout.
 std::size_t wire_size(const Pdu& pdu);
 
 }  // namespace scale::proto

@@ -2,6 +2,9 @@
 
 #include "common/check.h"
 
+#include <string>
+#include <vector>
+
 #include "proto/buffer.h"
 
 namespace scale::proto {
@@ -109,6 +112,35 @@ TEST(ByteWriter, EmptyString) {
   ByteReader r(w.data());
   EXPECT_EQ(r.str(), "");
   EXPECT_TRUE(r.at_end());
+}
+
+TEST(ByteWriter, CountingModeSizesWithoutStoring) {
+  ByteWriter w = ByteWriter::counting();
+  w.u8(1);
+  w.u16(2);
+  w.u32(3);
+  w.u64(4);
+  w.f64(5.0);
+  w.boolean(true);
+  const std::uint8_t raw[] = {1, 2, 3};
+  w.bytes(raw);
+  w.str("abcd");
+  w.patch_u32(0, 0xFFFFFFFF);  // no-op while counting
+  EXPECT_EQ(w.size(), 1u + 2 + 4 + 8 + 8 + 1 + 3 + (2 + 4));
+  EXPECT_TRUE(w.data().empty());
+  // Counting still enforces the encoder's limits.
+  EXPECT_THROW(w.str(std::string(70000, 'x')), CodecError);
+}
+
+TEST(ByteWriter, PatchU32BackpatchesBigEndian) {
+  ByteWriter w;
+  w.u8(0xAA);
+  w.u32(0);
+  w.u8(0xBB);
+  w.patch_u32(1, 0x01020304);
+  const std::vector<std::uint8_t> want = {0xAA, 1, 2, 3, 4, 0xBB};
+  EXPECT_EQ(w.data(), want);
+  EXPECT_THROW(w.patch_u32(3, 0), CodecError);  // would run past the end
 }
 
 }  // namespace

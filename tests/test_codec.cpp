@@ -2,6 +2,11 @@
 // family that can cross a link.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+#include <variant>
+#include <vector>
+
 #include "common/check.h"
 
 #include "proto/codec.h"
@@ -233,8 +238,9 @@ TEST(Codec, RingUpdateRoundTrip) {
   for (std::uint32_t i = 1; i <= 30; ++i)
     update.members.push_back({i * 100, static_cast<std::uint8_t>(i)});
   const auto bytes = encode_pdu(make_pdu(update));
-  const auto& back = std::get<RingUpdate>(
-      std::get<ClusterMessage>(decode_pdu(bytes)));
+  const Pdu decoded = decode_pdu(bytes);  // `back` views into it
+  const auto& back =
+      std::get<RingUpdate>(std::get<ClusterMessage>(decoded));
   EXPECT_EQ(back.version, 42u);
   ASSERT_EQ(back.members.size(), 30u);
   EXPECT_EQ(back.members[7], update.members[7]);
@@ -270,10 +276,215 @@ TEST(Codec, MalformedInputsThrowNotCrash) {
   EXPECT_THROW(decode_pdu(padded), CodecError);
 }
 
+/// One PDU per alternative of every family (NAS rides in
+/// UplinkNasTransport), plus nested envelopes: what wire_size's counting
+/// pass must agree with the real encode on.
+std::vector<Pdu> every_pdu() {
+  UeContextRecord rec;
+  rec.imsi = 123456789012345ull;
+  rec.guti = test_guti();
+  rec.external_dc = 2;
+  const auto initial = [] {
+    return make_pdu(InitialUeMessage{
+        1, 2, 3, NasMessage{NasAttachRequest{42, test_guti(), 3}}});
+  };
+  std::vector<Pdu> out;
+  // S1AP.
+  out.push_back(initial());
+  out.push_back(make_pdu(UplinkNasTransport{
+      9, 8, MmeUeId::make(3, 100), NasMessage{NasAuthenticationResponse{}}}));
+  out.push_back(make_pdu(DownlinkNasTransport{
+      9, 8, MmeUeId::make(3, 100), NasMessage{NasAttachAccept{}}}));
+  out.push_back(make_pdu(InitialContextSetupRequest{
+      9, 8, MmeUeId::make(3, 1), Teid::make(3, 5)}));
+  out.push_back(make_pdu(InitialContextSetupResponse{
+      9, 8, MmeUeId::make(3, 1), Teid::make(0, 6)}));
+  out.push_back(make_pdu(UeContextReleaseCommand{
+      9, 8, MmeUeId::make(3, 1), ReleaseCause::kLoadBalancingTauRequired}));
+  out.push_back(make_pdu(UeContextReleaseComplete{9, 8, MmeUeId::make(3, 1)}));
+  out.push_back(make_pdu(Paging{0xBEEF, 12}));
+  out.push_back(make_pdu(PathSwitchRequest{10, 8, MmeUeId::make(3, 1), 12}));
+  out.push_back(make_pdu(PathSwitchAck{10, 8, MmeUeId::make(3, 1)}));
+  out.push_back(make_pdu(OverloadStart{2, 250000}));
+  // NAS.
+  const std::vector<NasMessage> nas = {
+      NasAttachRequest{1, test_guti(), 2},
+      NasAttachRequest{1, std::nullopt, 2},
+      NasAuthenticationRequest{0xAAAA, 0xBBBB},
+      NasAuthenticationResponse{0xCCCC},
+      NasSecurityModeCommand{1, 2},
+      NasSecurityModeComplete{},
+      NasAttachAccept{test_guti(), 7200},
+      NasAttachComplete{},
+      NasServiceRequest{3, 0xBEEF01, 0x55},
+      NasServiceAccept{},
+      NasServiceReject{9},
+      NasTauRequest{test_guti(), 12, true},
+      NasTauAccept{test_guti(), 1800},
+      NasDetachRequest{test_guti()},
+      NasDetachAccept{},
+  };
+  for (const auto& m : nas)
+    out.push_back(make_pdu(UplinkNasTransport{1, 2, MmeUeId::make(3, 4), m}));
+  // S11.
+  out.push_back(make_pdu(CreateSessionRequest{123, Teid::make(2, 9)}));
+  out.push_back(make_pdu(CreateSessionResponse{Teid::make(2, 9), Teid{77}}));
+  out.push_back(make_pdu(ModifyBearerRequest{Teid{77}, Teid::make(2, 9), 5}));
+  out.push_back(make_pdu(ModifyBearerResponse{Teid::make(2, 9)}));
+  out.push_back(
+      make_pdu(ReleaseAccessBearersRequest{Teid{77}, Teid::make(2, 9)}));
+  out.push_back(make_pdu(ReleaseAccessBearersResponse{Teid::make(2, 9)}));
+  out.push_back(make_pdu(DeleteSessionRequest{Teid{77}, Teid::make(2, 9)}));
+  out.push_back(make_pdu(DeleteSessionResponse{Teid::make(2, 9)}));
+  out.push_back(make_pdu(DownlinkDataNotification{Teid::make(2, 9)}));
+  out.push_back(make_pdu(DownlinkDataNotificationAck{Teid{77}}));
+  // S6.
+  out.push_back(make_pdu(AuthInfoRequest{123, 42}));
+  out.push_back(make_pdu(AuthInfoAnswer{123, 42, true, 1, 2, 3}));
+  out.push_back(make_pdu(UpdateLocationRequest{123, 7, 42}));
+  out.push_back(make_pdu(UpdateLocationAnswer{123, true, 9, 42}));
+  // Cluster.
+  ClusterForward fwd;
+  fwd.origin = 9;
+  fwd.guti = test_guti();
+  fwd.inner = box(initial());
+  out.push_back(make_pdu(fwd));
+  ClusterReply reply;
+  reply.target = 2;
+  reply.inner = box(make_pdu(Paging{5, 6}));
+  out.push_back(make_pdu(reply));
+  out.push_back(make_pdu(ReplicaPush{rec, true}));
+  out.push_back(make_pdu(ReplicaAck{test_guti(), 3, 1}));
+  out.push_back(make_pdu(ReplicaDelete{test_guti()}));
+  out.push_back(make_pdu(StateTransfer{rec}));
+  out.push_back(make_pdu(StateTransferAck{test_guti()}));
+  out.push_back(make_pdu(LoadReport{5, 0.87, 120}));
+  RingUpdate ring;
+  ring.version = 7;
+  for (std::uint32_t i = 1; i <= 200; ++i)
+    ring.members.push_back({i * 10, static_cast<std::uint8_t>(i)});
+  out.push_back(make_pdu(ring));
+  out.push_back(make_pdu(RingUpdate{}));
+  out.push_back(make_pdu(GeoBudgetGossip{3, 123.5, 0.4, 0.01}));
+  GeoForward gf;
+  gf.origin = 1;
+  gf.home_dc = 2;
+  gf.home_mlb = 3;
+  gf.guti = test_guti();
+  gf.inner = box(initial());
+  out.push_back(make_pdu(gf));
+  GeoReject gr;
+  gr.guti = test_guti();
+  gr.origin = 4;
+  gr.inner = box(initial());
+  out.push_back(make_pdu(gr));
+  out.push_back(make_pdu(GeoEvictRequest{3, 0.25}));
+  out.push_back(make_pdu(StateFetch{test_guti()}));
+  out.push_back(make_pdu(StateFetchResp{test_guti(), true, rec}));
+  // TransportData{ClusterForward{InitialUeMessage}}: the reliable-shim hop
+  // of an MLB forward.
+  out.push_back(make_pdu(TransportData{.seq = 77, .attempt = 2,
+                                       .inner = box(make_pdu(fwd))}));
+  out.push_back(make_pdu(TransportAck{77}));
+  OverloadReject rej;
+  rej.mmp_node = 4;
+  rej.origin = 9;
+  rej.guti = test_guti();
+  rej.backoff_us = 200000;
+  rej.procedure = 2;
+  rej.level = 3;
+  rej.inner = box(initial());
+  out.push_back(make_pdu(rej));
+  // Three deep: reply{transport{forward{initial}}}.
+  ClusterReply deep;
+  deep.target = 5;
+  deep.inner = box(make_pdu(TransportData{
+      .seq = 1, .attempt = 0, .inner = box(make_pdu(fwd))}));
+  out.push_back(make_pdu(deep));
+  return out;
+}
+
 TEST(Codec, WireSizeMatchesEncodedSize) {
-  const Pdu pdu = make_pdu(InitialUeMessage{
+  std::set<std::string> names;
+  std::set<std::string> nas_names;
+  for (const Pdu& pdu : every_pdu()) {
+    EXPECT_EQ(wire_size(pdu), encode_pdu(pdu).size()) << pdu_name(pdu);
+    names.insert(pdu_name(pdu));
+    if (const auto* s1 = std::get_if<S1apMessage>(&pdu))
+      if (const auto* ul = std::get_if<UplinkNasTransport>(s1))
+        nas_names.insert(nas_name(ul->nas));
+  }
+  // Every alternative of every family is covered.
+  EXPECT_EQ(names.size(),
+            std::variant_size_v<S1apMessage> + std::variant_size_v<S11Message> +
+                std::variant_size_v<S6Message> +
+                std::variant_size_v<ClusterMessage>);
+  EXPECT_EQ(nas_names.size(), std::variant_size_v<NasMessage>);
+}
+
+/// Big-endian u32 length, spelled out byte by byte so the check does not
+/// rest on ByteWriter.
+void append_be32(std::vector<std::uint8_t>& out, std::size_t n) {
+  for (int shift = 24; shift >= 0; shift -= 8)
+    out.push_back(static_cast<std::uint8_t>((n >> shift) & 0xFF));
+}
+
+TEST(Codec, EnvelopeFramingIsHeaderLengthThenInner) {
+  // An envelope encodes as its header fields, then a big-endian u32 length,
+  // then encode_pdu(inner) verbatim — at every depth.
+  const Pdu initial = make_pdu(InitialUeMessage{
       1, 2, 3, NasMessage{NasAttachRequest{42, test_guti(), 3}}});
-  EXPECT_EQ(wire_size(pdu), encode_pdu(pdu).size());
+  constexpr std::uint8_t kClusterFamily = 4;
+
+  ClusterForward fwd;
+  fwd.origin = 9;
+  fwd.guti = test_guti();
+  fwd.no_offload = true;
+  fwd.inner = box(initial);
+  const Pdu depth1 = make_pdu(fwd);
+  ByteWriter h1;
+  h1.u8(kClusterFamily);
+  h1.u8(static_cast<std::uint8_t>(ClusterType::kForward));
+  h1.u32(9);
+  test_guti().encode(h1);
+  h1.boolean(true);
+  std::vector<std::uint8_t> want1 = h1.data();
+  const auto inner1 = encode_pdu(initial);
+  append_be32(want1, inner1.size());
+  want1.insert(want1.end(), inner1.begin(), inner1.end());
+  EXPECT_EQ(encode_pdu(depth1), want1);
+
+  const Pdu depth2 = make_pdu(
+      TransportData{.seq = 0x0102030405060708ull, .attempt = 3,
+                    .inner = box(depth1)});
+  ByteWriter h2;
+  h2.u8(kClusterFamily);
+  h2.u8(static_cast<std::uint8_t>(ClusterType::kTransportData));
+  h2.u64(0x0102030405060708ull);
+  h2.u32(3);
+  std::vector<std::uint8_t> want2 = h2.data();
+  append_be32(want2, want1.size());
+  want2.insert(want2.end(), want1.begin(), want1.end());
+  EXPECT_EQ(encode_pdu(depth2), want2);
+
+  ClusterReply reply;
+  reply.target = 0xA0B0C0D0;
+  reply.inner = box(depth2);
+  const Pdu depth3 = make_pdu(reply);
+  ByteWriter h3;
+  h3.u8(kClusterFamily);
+  h3.u8(static_cast<std::uint8_t>(ClusterType::kReply));
+  h3.u32(0xA0B0C0D0);
+  std::vector<std::uint8_t> want3 = h3.data();
+  append_be32(want3, want2.size());
+  want3.insert(want3.end(), want2.begin(), want2.end());
+  EXPECT_EQ(encode_pdu(depth3), want3);
+
+  for (const Pdu* p : {&depth1, &depth2, &depth3}) {
+    const auto bytes = encode_pdu(*p);
+    EXPECT_EQ(wire_size(*p), bytes.size());
+    EXPECT_EQ(encode_pdu(decode_pdu(bytes)), bytes);
+  }
 }
 
 TEST(Codec, MmeUeIdAndTeidEmbedding) {

@@ -20,6 +20,7 @@ TEST(CodecFuzz, RandomBytesNeverCrash) {
       // If it decoded, re-encoding must reproduce the input exactly
       // (canonical wire form, no trailing slack accepted).
       EXPECT_EQ(encode_pdu(pdu), bytes);
+      EXPECT_EQ(wire_size(pdu), bytes.size());
     } catch (const CodecError&) {
       // Expected for almost all inputs.
     }
@@ -66,6 +67,7 @@ TEST(CodecFuzz, DeeplyNestedEnvelopeBounded) {
     pdu = make_pdu(fwd);
   }
   const auto bytes = encode_pdu(pdu);
+  EXPECT_EQ(wire_size(pdu), bytes.size());
   const Pdu back = decode_pdu(bytes);
   EXPECT_EQ(encode_pdu(back), bytes);
 }

@@ -214,5 +214,38 @@ TEST_F(ReliableTest, UnreliableSendBypassesShim) {
   EXPECT_TRUE(engine.idle());
 }
 
+TEST_F(ReliableTest, ReceiveWatermarkDedupsAcrossOrderAndGaps) {
+  // Segments fed straight into the receiver's unwrap(), in a chosen order:
+  // each must be delivered exactly once whether it arrives in order, above
+  // a gap, as the gap fill that releases a buffered run, or again later.
+  enable_transport();
+  RelNode a(fabric), b(fabric);
+  const auto delivered = [&](std::uint64_t seq) {
+    const proto::Pdu seg = proto::make_pdu(proto::TransportData{
+        .seq = seq, .attempt = 0, .inner = proto::box(ping(seq))});
+    return b.rel.unwrap(a.node, seg) != nullptr;
+  };
+  EXPECT_TRUE(delivered(1));   // in order
+  EXPECT_TRUE(delivered(2));   // in order
+  EXPECT_TRUE(delivered(4));   // above the gap at 3
+  EXPECT_TRUE(delivered(5));   // extends the buffered run
+  EXPECT_FALSE(delivered(4));  // duplicate held above the gap
+  EXPECT_TRUE(delivered(3));   // fills the gap, absorbs 4 and 5
+  EXPECT_FALSE(delivered(2));  // duplicate below the watermark
+  EXPECT_FALSE(delivered(5));  // absorbed run is below the watermark now
+  EXPECT_TRUE(delivered(6));   // in order again right after the run
+  EXPECT_TRUE(delivered(9));   // a second gap (7, 8)
+  EXPECT_TRUE(delivered(7));   // partial fill: 8 still missing
+  EXPECT_FALSE(delivered(9));  // still held above the remaining gap
+  EXPECT_TRUE(delivered(8));   // closes it
+  EXPECT_FALSE(delivered(7));
+  EXPECT_FALSE(delivered(9));
+  EXPECT_TRUE(delivered(10));
+  EXPECT_EQ(b.rel.duplicates_suppressed(), 6u);
+  // Every segment was acked, duplicates included.
+  engine.run_until(Time::from_sec(1.0));
+  EXPECT_EQ(net.messages_sent(), 16u);
+}
+
 }  // namespace
 }  // namespace scale

@@ -4,6 +4,7 @@
 
 #include <map>
 #include <set>
+#include <vector>
 
 #include "hash/ring.h"
 
@@ -65,6 +66,21 @@ TEST(Ring, PreferenceListCappedByNodeCount) {
   auto ring = make_ring(5, {1, 2});
   const auto prefs = ring.preference_list(7, 10);
   EXPECT_EQ(prefs.size(), 2u);
+}
+
+TEST(Ring, PreferenceListIntoCallerVectorMatchesAndReuses) {
+  auto ring = make_ring(5, {10, 20, 30, 40, 50});
+  std::vector<RingNodeId> scratch = {99, 98, 97, 96, 95, 94};  // stale
+  for (std::uint64_t key = 0; key < 500; ++key) {
+    const std::size_t n = 1 + key % 6;  // up to more than the node count
+    ring.preference_list(key, n, scratch);
+    EXPECT_EQ(scratch, ring.preference_list(key, n)) << "key " << key;
+  }
+  const RingNodeId* storage = scratch.data();
+  ring.preference_list(7, 3, scratch);
+  EXPECT_EQ(scratch.data(), storage) << "refill must reuse the capacity";
+  EXPECT_THROW(ConsistentHashRing{}.preference_list(1, 2, scratch),
+               scale::CheckError);
 }
 
 TEST(Ring, ReplicaOfSingleNodeIsNull) {
