@@ -1,16 +1,11 @@
-// Ablation: SteeringPolicy design space (DESIGN.md §11, ROADMAP item 3).
+// Ablation: steering policies (DESIGN.md §11).
 //
-// Four policy arms over the same 4-MMP pool:
+// Two policy arms over the same 4-MMP pool:
 //
 //   ring       — the paper's §4.6 design point: least-loaded-of-R=2 over
-//                the MD5(GUTI) preference list (RingLeastLoaded);
-//   aperture   — deterministic aperture: the MLB prefers a bounded window
-//                of the sorted ring, load-balancing inside it and spilling
-//                out only when the window offers no candidate;
+//                the MD5(GUTI) preference list (pick_ring_least_loaded);
 //   p2c        — power-of-two-choices over a 4-wide preference list with
-//                stateless hashed pair sampling;
-//   ring_eject — ring + PassiveOutlierEjector: persistently-slow VMs are
-//                removed from steering and re-admitted on probation.
+//                stateless hashed pair sampling (pick_p2c).
 //
 // Three fault arms (PR 1 fault scripts):
 //
@@ -24,11 +19,9 @@
 // Service-Request p99, steering imbalance (max/mean requests handled per
 // MMP over the window), and state-transfer volume (forward-to-master count:
 // picks that landed off the state holder). The slow-VM arm is the headline:
-// the ejector should beat the raw ring on attach p99 because it stops
-// feeding the throttled VM entirely instead of merely preferring the other
-// preference-list candidate, and p2c's wider candidate set should beat the
-// ring on imbalance. The win condition is enforced by exit code (the
-// committed BENCH_steering.json is the gated evidence).
+// p2c's wider candidate set should beat the ring on attach p99 or on
+// imbalance. The win condition is enforced by exit code (the committed
+// BENCH_steering.json is the gated evidence).
 #include <algorithm>
 #include <cstdio>
 #include <string>
@@ -42,47 +35,18 @@ namespace {
 
 using namespace scale;
 
-constexpr int kPolicies = 4;
+constexpr int kPolicies = 2;
 constexpr int kFaults = 3;
-const char* const kPolicyNames[kPolicies] = {"ring", "aperture", "p2c",
-                                             "ring_eject"};
-const char* const kFaultNames[kFaults] = {"steady", "slow_vm", "partition"};
+const core::SteeringPolicyKind kPolicyKinds[kPolicies] = {
+    core::SteeringPolicyKind::kRingLeastLoaded,
+    core::SteeringPolicyKind::kPowerOfTwoChoices};
 
 struct Point {
   double attach_p99 = 0.0;  ///< ms (window sentinel when none completed)
   double sr_p99 = 0.0;      ///< ms (same sentinel)
   double imbalance = 0.0;   ///< max/mean requests handled per MMP
   double xfer = 0.0;        ///< forwards to master (off-state-holder picks)
-  double ejections = 0.0;   ///< outlier ejections (ring_eject arm only)
 };
-
-core::SteeringConfig steering_for(int policy) {
-  core::SteeringConfig s;  // ring/choices/peer slots set by ScaleCluster
-  switch (policy) {
-    case 1:
-      s.policy = core::SteeringPolicyKind::kDeterministicAperture;
-      s.aperture_width = 3;
-      break;
-    case 2:
-      s.policy = core::SteeringPolicyKind::kPowerOfTwoChoices;
-      s.p2c_width = 4;
-      break;
-    case 3:
-      s.outlier_ejection = true;  // decorating the default ring policy
-      // Sensitive detection profile: the ring's own load signal diverts
-      // idle traffic off a slow VM within a report period, so its score
-      // spike is short — two strikes at a low threshold must be enough to
-      // pull the trigger, and the window must outlast the herd.
-      s.outlier.factor = 1.2;
-      s.outlier.margin = 0.1;
-      s.outlier.consecutive = 2;
-      s.outlier.base_ejection = Duration::sec(3.0);
-      break;
-    default:
-      break;
-  }
-  return s;
-}
 
 /// p99 with a truthful sentinel: an empty bucket means nothing completed,
 /// which is a *worse* outcome than any recorded delay — report the whole
@@ -93,12 +57,12 @@ double p99_or(const testbed::Testbed& tb, proto::ProcedureType p,
   return v > 0.0 ? v : sentinel_ms;
 }
 
-Point run(int policy, int fault, bool quick) {
+Point run(core::SteeringPolicyKind policy, int fault, bool quick) {
   core::ScaleCluster::Config cfg;
   cfg.initial_mmps = 4;
   cfg.vm_template.cpu_speed = 0.12;  // moderately loaded pool
   cfg.vm_template.app.profile.inactivity_timeout = Duration::ms(400.0);
-  cfg.mlb.steering = steering_for(policy);
+  cfg.mlb.steering.policy = policy;  // ring and R are set by ScaleCluster
   bench::ScaleWorld w(cfg, /*enbs=*/2);
 
   const std::size_t base_ues = quick ? 120 : 500;
@@ -167,12 +131,6 @@ Point run(int policy, int fault, bool quick) {
   std::uint64_t xfer_after = 0;
   for (const auto& mmp : mmps) xfer_after += mmp->forwarded_to_master();
   p.xfer = static_cast<double>(xfer_after - xfer_before);
-
-  for (const auto& mlb : w.cluster->mlbs()) {
-    if (const auto* ej = dynamic_cast<const core::PassiveOutlierEjector*>(
-            &mlb->steering()))
-      p.ejections += static_cast<double>(ej->ejections() + ej->reejections());
-  }
   return p;
 }
 
@@ -180,59 +138,47 @@ Point run(int policy, int fault, bool quick) {
 
 int main(int argc, char** argv) {
   scale::obs::BenchMain bm(argc, argv, "ablation_steering",
-                           "SteeringPolicy design space under fault scripts");
+                           "Steering policies under fault scripts");
   Point results[kFaults][kPolicies];
   for (int f = 0; f < kFaults; ++f)
-    for (int p = 0; p < kPolicies; ++p) results[f][p] = run(p, f, bm.quick());
+    for (int p = 0; p < kPolicies; ++p)
+      results[f][p] = run(kPolicyKinds[p], f, bm.quick());
 
-  auto& attach = bm.report().section(
-      "attach p99 ms by fault script (0=steady 1=slow_vm 2=partition)");
-  attach.columns({"fault", "ring", "aperture", "p2c", "ring_eject"});
-  for (int f = 0; f < kFaults; ++f)
-    attach.row({static_cast<double>(f), results[f][0].attach_p99,
-                results[f][1].attach_p99, results[f][2].attach_p99,
-                results[f][3].attach_p99});
+  // One section per metric: a row per fault script, a column per policy.
+  const auto by_fault = [&](const char* name, double Point::*metric) {
+    auto& sec = bm.report().section(name);
+    sec.columns({"fault", "ring", "p2c"});
+    for (int f = 0; f < kFaults; ++f)
+      sec.row({static_cast<double>(f), results[f][0].*metric,
+               results[f][1].*metric});
+  };
+  by_fault("attach p99 ms by fault script (0=steady 1=slow_vm 2=partition)",
+           &Point::attach_p99);
+  by_fault("steering imbalance (max/mean requests per MMP) by fault script",
+           &Point::imbalance);
+  by_fault("state-transfer volume (forwards to master) by fault script",
+           &Point::xfer);
 
-  auto& imb = bm.report().section(
-      "steering imbalance (max/mean requests per MMP) by fault script");
-  imb.columns({"fault", "ring", "aperture", "p2c", "ring_eject"});
-  for (int f = 0; f < kFaults; ++f)
-    imb.row({static_cast<double>(f), results[f][0].imbalance,
-             results[f][1].imbalance, results[f][2].imbalance,
-             results[f][3].imbalance});
-
-  auto& xfer = bm.report().section(
-      "state-transfer volume (forwards to master) by fault script");
-  xfer.columns({"fault", "ring", "aperture", "p2c", "ring_eject"});
-  for (int f = 0; f < kFaults; ++f)
-    xfer.row({static_cast<double>(f), results[f][0].xfer,
-              results[f][1].xfer, results[f][2].xfer, results[f][3].xfer});
-
-  auto& detail = bm.report().section(
-      "slow-VM detail (policy: 0=ring 1=aperture 2=p2c 3=ring_eject)");
-  detail.columns({"policy", "attach_p99", "sr_p99", "imbalance", "xfer",
-                  "ejections"});
+  auto& detail =
+      bm.report().section("slow-VM detail (policy: 0=ring 2=p2c)");
+  detail.columns({"policy", "attach_p99", "sr_p99", "imbalance", "xfer"});
   for (int p = 0; p < kPolicies; ++p) {
     const Point& pt = results[1][p];
-    detail.row({static_cast<double>(p), pt.attach_p99, pt.sr_p99,
-                pt.imbalance, pt.xfer, pt.ejections});
+    detail.row({static_cast<double>(kPolicyKinds[p]), pt.attach_p99,
+                pt.sr_p99, pt.imbalance, pt.xfer});
   }
 
   const int rc = bm.finish();
   if (rc != 0) return rc;
   if (bm.quick()) return 0;  // quick numbers are smoke, not evidence
-  // Acceptance gate: under the slow-VM script at least one alternative must
-  // beat the paper's ring on attach p99 or on steering imbalance.
+  // Acceptance gate: under the slow-VM script the alternative must beat the
+  // paper's ring on attach p99 or on steering imbalance.
   const Point& ring = results[1][0];
-  bool win = false;
-  for (int p = 1; p < kPolicies; ++p)
-    win = win || results[1][p].attach_p99 < ring.attach_p99 ||
-          results[1][p].imbalance < ring.imbalance;
-  if (!win) {
+  const Point& p2c = results[1][1];
+  if (!(p2c.attach_p99 < ring.attach_p99 || p2c.imbalance < ring.imbalance)) {
     std::fprintf(stderr,
-                 "ablation_steering: no alternative policy beat the ring "
-                 "under the slow-VM script (attach p99 %.1f ms, imbalance "
-                 "%.3f)\n",
+                 "ablation_steering: p2c did not beat the ring under the "
+                 "slow-VM script (attach p99 %.1f ms, imbalance %.3f)\n",
                  ring.attach_p99, ring.imbalance);
     return 1;
   }

@@ -28,10 +28,6 @@ ScaleCluster::ScaleCluster(epc::Fabric& fabric, sim::NodeId sgw,
     // them collision-free without coordination.
     Mlb::Config one = mlb_cfg;
     one.tmsi_base = static_cast<std::uint32_t>(1 + i * 50'000'000u);
-    // Slot identity for peer-aware policies (deterministic aperture): each
-    // co-located MLB VM prefers its own window of the ring.
-    one.steering.peer_index = static_cast<unsigned>(i);
-    one.steering.peer_count = static_cast<unsigned>(mlb_count);
     mlbs_.push_back(std::make_unique<Mlb>(fabric_, one));
   }
 

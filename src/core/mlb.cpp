@@ -1,10 +1,20 @@
 #include "core/mlb.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
 
 namespace scale::core {
+
+namespace {
+/// Graduated sheds of deferrable work are dropped instead of re-steered
+/// when the best alternative reports at least this load (DESIGN.md §9).
+constexpr double kDropLoadLimit = 3.0;
+/// Edge backpressure engages when any reported load reaches this.
+constexpr double kPressureLoadLimit = 2.0;
+}  // namespace
 
 Mlb::Mlb(Fabric& fabric, Config cfg)
     : fabric_(fabric), cfg_(cfg), node_(fabric.add_endpoint(this)),
@@ -12,8 +22,9 @@ Mlb::Mlb(Fabric& fabric, Config cfg)
       cpu_(fabric.engine(), cfg.cpu_speed),
       util_(fabric.engine(), cpu_),
       ring_(cfg.steering.ring),
-      view_(MmpLoadView::Config{cfg.steering.ewma_alpha}),
-      policy_(make_steering_policy(cfg.steering)),
+      width_(cfg.steering.policy == SteeringPolicyKind::kPowerOfTwoChoices
+                 ? std::max(kP2cWidth, cfg.steering.choices)
+                 : std::max(1u, cfg.steering.choices)),
       next_tmsi_(cfg.tmsi_base) {}
 
 Mlb::~Mlb() {
@@ -55,9 +66,16 @@ NodeId Mlb::node_of_code(std::uint8_t code) const {
 NodeId Mlb::steer(std::uint64_t key,
                   const std::vector<hash::RingNodeId>& candidates) {
   SCALE_CHECK(!candidates.empty());
-  const SteeringContext ctx{key, candidates, ring_, view_,
-                            fabric_.engine().now()};
-  const SteeringDecision d = policy_->pick(ctx);
+  const SteeringContext ctx{key, candidates, view_, fabric_.engine().now()};
+  SteeringDecision d;
+  switch (cfg_.steering.policy) {
+    case SteeringPolicyKind::kRingLeastLoaded:
+      d = pick_ring_least_loaded(ctx);
+      break;
+    case SteeringPolicyKind::kPowerOfTwoChoices:
+      d = pick_p2c(ctx);
+      break;
+  }
   SCALE_CHECK(d.target != 0);
   ++steer_by_reason_[static_cast<std::size_t>(d.reason)];
   return d.target;
@@ -81,7 +99,6 @@ void Mlb::handle_overload_reject(const proto::OverloadReject& rej) {
   view_.on_reject(rej.mmp_node,
                   now + Duration::us(static_cast<std::int64_t>(
                             rej.backoff_us)));
-  policy_->on_overload_reject(rej.mmp_node, now);
   if (rej.inner == nullptr) return;  // pure backoff hint, nothing to re-steer
   if (ring_.empty()) {
     ++unroutable_;
@@ -91,7 +108,7 @@ void Mlb::handle_overload_reject(const proto::OverloadReject& rej) {
   // preference list offers one. no_offload marks the forward as final so the
   // replica can neither geo-offload nor shed it back (ping-pong guard).
   const auto prefs =
-      ring_.preference_list(rej.guti.key(), policy_->candidate_width());
+      ring_.preference_list(rej.guti.key(), width_);
   std::vector<hash::RingNodeId> alternatives;
   alternatives.reserve(prefs.size());
   for (const hash::RingNodeId c : prefs)
@@ -101,7 +118,7 @@ void Mlb::handle_overload_reject(const proto::OverloadReject& rej) {
                             : steer(rej.guti.key(), alternatives);
   // Graduated sheds (level > 0) of deferrable work are dropped outright
   // when the re-steer would be futile: every candidate is already backing
-  // off, or even the least-loaded target reports drop_load_limit — i.e. it
+  // off, or even the least-loaded target reports kDropLoadLimit — i.e. it
   // is saturated and shedding this class itself, so a forced accept would
   // only deepen the very queue the governor is draining. The device's own
   // retry timer beats that. Attach is only droppable when the shedder sat
@@ -120,7 +137,7 @@ void Mlb::handle_overload_reject(const proto::OverloadReject& rej) {
                                      core::PressureLevel::kOverload);
   if (rej.level > 0 && droppable &&
       (all_backed_off ||
-       view_.effective_load(target) >= cfg_.steering.drop_load_limit)) {
+       view_.effective_load(target) >= kDropLoadLimit)) {
     ++overload_drops_;
     if (obs::Tracer* tr = obs::Tracer::current()) {
       obs::Json args = obs::Json::object();
@@ -146,7 +163,7 @@ void Mlb::handle_overload_reject(const proto::OverloadReject& rej) {
 
 bool Mlb::under_pressure(Time now) const {
   return view_.any_backoff(now) ||
-         view_.any_load_at_least(cfg_.steering.pressure_load_limit);
+         view_.any_load_at_least(kPressureLoadLimit);
 }
 
 void Mlb::maybe_backpressure(NodeId from) {
@@ -197,7 +214,7 @@ void Mlb::route_initial(NodeId from, const proto::InitialUeMessage& msg) {
   }
   // Policy steering among the preference-list nodes — only at Idle→Active
   // (§4.6: subsequent requests stick to the chosen VM until Idle).
-  ring_.preference_list(guti.key(), policy_->candidate_width(), prefs_);
+  ring_.preference_list(guti.key(), width_, prefs_);
   const NodeId chosen = steer(guti.key(), prefs_);
   ++initial_routed_;
   forward(chosen, from, guti, proto::make_pdu(msg));
@@ -234,8 +251,7 @@ void Mlb::route_geo_reject(const proto::GeoReject& rej) {
   }
   // The remote DC could not serve it: process locally, without offloading
   // again (loop guard).
-  const auto prefs =
-      ring_.preference_list(rej.guti.key(), policy_->candidate_width());
+  const auto prefs = ring_.preference_list(rej.guti.key(), width_);
   forward(steer(rej.guti.key(), prefs), rej.origin, rej.guti,
           rej.inner->value,
           /*no_offload=*/true);
@@ -312,11 +328,7 @@ void Mlb::receive(NodeId from, const proto::Pdu& pdu) {
             });
           } else if (const auto* load =
                          std::get_if<proto::LoadReport>(&family)) {
-            const Time now = fabric_.engine().now();
-            view_.on_report(load->mmp_node, load->cpu_util,
-                            load->active_devices, now);
-            const auto it = view_.entries().find(load->mmp_node);
-            policy_->on_load_report(load->mmp_node, it->second, view_, now);
+            view_.on_report(load->mmp_node, load->cpu_util);
           } else if (const auto* ring_update =
                          std::get_if<proto::RingUpdate>(&family)) {
             apply_membership(ring_update->members, ring_update->version);
@@ -379,21 +391,18 @@ void Mlb::export_metrics(obs::MetricsRegistry& reg,
   // Per-MMP load scalars, keyed by NodeId so names enumerate sorted. Only
   // VMs that have reported appear — matching the seed's loads_ map surface.
   for (const auto& [mmp, info] : view_.entries())
-    if (info.reported())
-      reg.set(prefix + ".load." + std::to_string(mmp), info.ewma);
-  // Steering counters only when a non-default configuration is active: the
-  // paper-default ring policy keeps the seed's exact metric key set so
-  // fig10 --json stays byte-identical to main.
-  if (cfg_.steering.policy != SteeringPolicyKind::kRingLeastLoaded ||
-      cfg_.steering.outlier_ejection) {
-    const std::string steer_prefix =
-        prefix + ".steer." + policy_->name();
+    if (info.reported)
+      reg.set(prefix + ".load." + std::to_string(mmp), info.load);
+  // Steering counters only for p2c: the paper-default ring policy keeps the
+  // seed's exact metric key set so fig10 --json stays byte-identical.
+  if (cfg_.steering.policy != SteeringPolicyKind::kRingLeastLoaded) {
+    const std::string steer_prefix = prefix + ".steer." +
+                                     steering_policy_name(cfg_.steering.policy);
     for (std::size_t r = 0; r < kSteerReasonCount; ++r) {
       reg.set_counter(steer_prefix + ".picks." +
                           steer_reason_name(static_cast<SteerReason>(r)),
                       steer_by_reason_[r]);
     }
-    policy_->export_metrics(reg, steer_prefix);
   }
 }
 

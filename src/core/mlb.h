@@ -4,8 +4,8 @@
 // request into the MMP cluster with *no per-device state*:
 //
 //   * Idle→Active requests (InitialUeMessage): MD5(GUTI) on the consistent
-//     hash ring → preference list → the configured SteeringPolicy picks the
-//     target (DESIGN.md §11; the default RingLeastLoaded is §4.6's
+//     hash ring → preference list → the configured steering policy picks
+//     the target (DESIGN.md §11; the default ring policy is §4.6's
 //     least-loaded-of-R fine-grained load balancing, byte-identical to the
 //     paper's design point);
 //   * Active-mode requests: routed on the MMP code the serving VM embedded
@@ -22,7 +22,6 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -50,10 +49,9 @@ class Mlb : public Endpoint {
     /// Routing costs: ring lookups hash MD5 and consult the load view.
     Duration initial_route_cost = Duration::us(35);
     Duration relay_cost = Duration::us(20);
-    /// The steering knob group: policy selector, R (`choices`), drop /
-    /// pressure load limits, ring config, and the per-policy tuning
-    /// (aperture window, P2C width, outlier ejection). Defaults reproduce
-    /// the paper's design point exactly (see steering.h).
+    /// The steering knob group: policy selector (ring or p2c), R
+    /// (`choices`) and the ring config. Defaults reproduce the paper's
+    /// design point exactly (see steering.h).
     using Steering = core::SteeringConfig;
     Steering steering;
     double cpu_speed = 1.0;
@@ -90,16 +88,14 @@ class Mlb : public Endpoint {
     geo_sink_ = std::move(sink);
   }
 
-  /// Smoothed load this MLB holds for `mmp`, or core::kNoLoadReport (−1.0)
+  /// Last load `mmp` reported to this MLB, or core::kNoLoadReport (−1.0)
   /// when the VM has never sent a LoadReport. "Never reported" is NOT
   /// "load 0": steering treats a silent VM as an optimistic unknown (it
   /// still receives traffic), but callers comparing loads must check
   /// has_load_report() first.
   double load_of(NodeId mmp) const;
   bool has_load_report(NodeId mmp) const;
-  const MmpLoadView& load_view() const { return view_; }
-  const SteeringPolicy& steering() const { return *policy_; }
-  /// Picks attributed to `reason` by the active policy.
+  /// Picks attributed to `reason` by the configured policy.
   std::uint64_t steer_picks(SteerReason reason) const {
     return steer_by_reason_[static_cast<std::size_t>(reason)];
   }
@@ -125,10 +121,10 @@ class Mlb : public Endpoint {
   const epc::ReliableChannel& transport() const { return rel_; }
 
   /// Publish routing counters + load map under `prefix` ("mlb.relays",
-  /// "mlb.load.<node>", ...). Non-default steering policies additionally
-  /// export "mlb.steer.<policy>.*" (pick reasons, ejections, probes); the
-  /// paper-default ring policy keeps the seed's exact metric surface so
-  /// fig10 --json stays byte-identical. Read-only.
+  /// "mlb.load.<node>", ...). The p2c policy additionally exports its pick
+  /// reasons as "mlb.steer.p2c.picks.*"; the paper-default ring policy
+  /// keeps the seed's exact metric surface so fig10 --json stays
+  /// byte-identical. Read-only.
   void export_metrics(obs::MetricsRegistry& reg,
                       const std::string& prefix) const;
 
@@ -142,8 +138,8 @@ class Mlb : public Endpoint {
   void route_by_code(NodeId from, std::uint8_t code, const proto::Pdu& pdu);
   NodeId node_of_code(std::uint8_t code) const;
   proto::Guti allocate_guti();
-  /// Ask the policy for a pick among `candidates` (a ring preference list,
-  /// possibly filtered) and account the decision.
+  /// Ask the configured policy for a pick among `candidates` (a ring
+  /// preference list, possibly filtered) and account the decision.
   NodeId steer(std::uint64_t key,
                const std::vector<hash::RingNodeId>& candidates);
   void handle_overload_reject(const proto::OverloadReject& rej);
@@ -166,9 +162,10 @@ class Mlb : public Endpoint {
   std::uint64_t ring_version_ = 0;
   std::unordered_map<std::uint8_t, NodeId> code_to_node_;
   /// Per-MMP load/backoff metadata (replaces the seed's raw loads_ and
-  /// shed_until_ maps) — everything the SteeringPolicy reads.
+  /// shed_until_ maps) — everything a steering policy reads.
   MmpLoadView view_;
-  std::unique_ptr<SteeringPolicy> policy_;
+  /// Preference-list width the configured policy picks from.
+  std::size_t width_;
   std::uint32_t next_tmsi_;
   std::function<void(NodeId, const proto::ClusterMessage&)> geo_sink_;
   /// Edge-backpressure state, lazily created per eNB while pressure lasts.

@@ -39,6 +39,7 @@ MmeNode::MmeNode(epc::Fabric& fabric, Config cfg)
                      return paging_fn_storage_ ? paging_fn_storage_(tac)
                                                : std::vector<NodeId>{};
                    },
+               .paging_defer = nullptr,
                .admission =
                    [this](NodeId enb, const proto::InitialUeMessage& msg,
                           UeContext* existing) {
