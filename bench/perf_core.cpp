@@ -10,6 +10,9 @@
 // numbers are reported for humans and for the BENCH_core.json trajectory,
 // but never gated on.
 //
+// reliable_lossy runs the ReliableChannel shim over faulty links and gates
+// its steady state at zero allocations per send.
+//
 // The fig10_1m_capacity section is the MillionUE gate (ROADMAP item 2): a
 // full ScaleCluster holding 10⁶ UE contexts (fig 10's world at the paper's
 // original scale), measuring load rate, resident bytes per UE against the
@@ -33,6 +36,7 @@
 #include "common/time.h"
 #include "core/cluster.h"
 #include "epc/fabric.h"
+#include "epc/reliable.h"
 #include "obs/bench_main.h"
 #include "proto/buffer_pool.h"
 #include "proto/codec.h"
@@ -296,6 +300,75 @@ PhaseResult phase_fabric_hop(std::uint64_t div) {
     eng.run();
     r.ops = net.messages_sent();
     r.bytes = net.bytes_sent();
+  });
+}
+
+/// Endpoint behind a ReliableChannel that just counts delivered PDUs.
+struct ReliableSink final : epc::Endpoint {
+  epc::Fabric& fabric;
+  sim::NodeId self;
+  epc::ReliableChannel rel;
+  std::uint64_t delivered = 0;
+
+  explicit ReliableSink(epc::Fabric& f)
+      : fabric(f), self(f.add_endpoint(this)), rel(f, self) {}
+  ~ReliableSink() override { fabric.remove_endpoint(self); }
+  void receive(sim::NodeId from, const proto::Pdu& pdu) override {
+    if (rel.unwrap(from, pdu) != nullptr) ++delivered;
+  }
+};
+
+/// Two endpoints exchanging reliable sends over links that drop, duplicate
+/// and reorder in both directions, so retransmit timers, duplicate
+/// suppression, out-of-order acks and receive gaps all run. The warm-up
+/// (300 s of sends, also under --quick) opens with a 4 s outage: one segment
+/// then waits out five RTOs, and the send rings, receive windows, pending
+/// slab and engine pool grow to a span no random loss in the measured
+/// window comes near. The gate is that the measured sends allocate nothing.
+PhaseResult phase_reliable_lossy(std::uint64_t div) {
+  sim::Engine eng;
+  sim::Network net(Duration::us(500), /*seed=*/11);
+  epc::Fabric fabric(eng, net);
+  epc::TransportConfig transport;
+  transport.reliable = true;
+  fabric.set_transport(transport);
+  sim::LinkFaults faults;
+  faults.drop_prob = 0.01;
+  faults.dup_prob = 0.01;
+  faults.reorder_prob = 0.05;
+  net.set_global_faults(faults);
+  ReliableSink a(fabric);
+  ReliableSink b(fabric);
+  net.schedule_link_down(a.self, b.self, Time::from_sec(0.2),
+                         Time::from_sec(4.2));
+
+  struct Pump {
+    sim::Engine& eng;
+    ReliableSink& a;
+    ReliableSink& b;
+    std::uint64_t left = 0;
+    void tick() {
+      if (left == 0) return;
+      --left;
+      a.rel.send(b.self, attach_pdu());
+      b.rel.send(a.self, attach_pdu());
+      eng.after(Duration::ms(1.0), [this] { tick(); });
+    }
+  } pump{eng, a, b};
+  constexpr std::uint64_t kWarmRounds = 300'000;  // one round per ms
+  const std::uint64_t kRounds = 100'000 / div;
+  pump.left = kWarmRounds;
+  pump.tick();
+  eng.run();
+  return run_phase([&](PhaseResult& r) {
+    pump.left = kRounds;
+    pump.tick();
+    eng.run();
+    r.ops = 2 * kRounds;  // reliable sends, both directions
+    // Every send must land exactly once, warm-up included.
+    if (a.delivered + b.delivered != 2 * (kWarmRounds + kRounds) ||
+        a.rel.unacked() != 0 || b.rel.unacked() != 0)
+      r.ops = 0;  // impossible; poisons the report
   });
 }
 
@@ -574,6 +647,7 @@ int main(int argc, char** argv) {
       {"codec_decode", phase_codec_decode(div)},
       {"codec_wire_size", phase_codec_wire_size(div)},
       {"fabric_hop", phase_fabric_hop(div)},
+      {"reliable_lossy", phase_reliable_lossy(div)},
       {"buffer_pool", phase_buffer_pool(div)},
   };
 

@@ -106,13 +106,13 @@ class MmpNode final : public mme::ClusterVm {
  private:
   PressureSignals pressure_signals() const;
   void replicate_local(mme::UeContext& ctx);
-  std::optional<NodeId> local_replica_target(std::uint64_t guti_key) const;
+  std::optional<NodeId> local_replica_target(std::uint64_t guti_key);
 
   Config mmp_cfg_;
   OverloadGovernor governor_;
   Rng rng_;
   const hash::ConsistentHashRing* ring_ = nullptr;
-  /// replicate_local's preference-list scratch (reused per procedure).
+  /// Preference-list scratch for replica placement (reused per procedure).
   std::vector<hash::RingNodeId> prefs_;
   const ReplicationPolicy* policy_ = nullptr;
   GeoManager* geo_ = nullptr;

@@ -16,11 +16,11 @@
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "common/rng.h"
 #include "epc/fabric.h"
+#include "epc/flat_table.h"
 #include "epc/reliable.h"
 #include "proto/pdu.h"
 
@@ -123,7 +123,6 @@ class EnodeB : public Endpoint {
                     std::optional<NodeId> exclude);
   NodeId route_by_code(std::uint8_t code);
   NodeId weighted_pick(std::optional<NodeId> exclude);
-  Conn* conn_by_enb_ue_id(proto::EnbUeId id);
   void to_ue(Ue& ue, proto::NasMessage nas);
   void handle_s1ap(NodeId from, const proto::S1apMessage& msg);
   /// Open the S1 connection and send the InitialUeMessage (post-pacing).
@@ -136,8 +135,11 @@ class EnodeB : public Endpoint {
   ReliableChannel rel_;
   Rng rng_;
   std::vector<MmeEntry> mmes_;
-  std::unordered_map<proto::EnbUeId, Conn> conns_;
-  std::unordered_map<std::uint32_t, Ue*> camped_;  // m_tmsi -> idle UE
+  FlatTable<Conn> conns_;   // by eNB-UE-S1AP id
+  FlatTable<Ue*> camped_;   // m_tmsi -> idle UE
+  /// MME-selection scratch, refilled on every pick.
+  std::vector<double> pick_weights_;
+  std::vector<NodeId> pick_nodes_;
   proto::EnbUeId next_ue_id_ = 1;
   bool rrc_sweep_running_ = false;
   /// OverloadStart pacing state: initials arriving before the deadline are

@@ -8,6 +8,12 @@
 
 namespace scale::epc {
 
+namespace {
+// Starting sizes; both double on demand.
+constexpr std::size_t kInitialRingSlots = 16;
+constexpr std::size_t kInitialWindowWords = 1;  // 64 seqs above the watermark
+}  // namespace
+
 ReliableChannel::ReliableChannel(Fabric& fabric, NodeId self)
     : fabric_(fabric), self_(self), cfg_(fabric.transport()) {}
 
@@ -16,11 +22,52 @@ void ReliableChannel::send(NodeId to, proto::Pdu pdu) {
     fabric_.send(self_, to, std::move(pdu));
     return;
   }
-  const std::uint64_t seq = ++next_seq_[to];
-  Pending p{proto::box(std::move(pdu)), /*attempt=*/0, cfg_.rto_initial};
+  Peer& peer = peers_[to];
+  const std::uint64_t seq = ++peer.next_seq;
+  if (seq - peer.base >= peer.ring.size()) grow_ring(peer);
+  std::uint32_t index;
+  if (!free_pending_.empty()) {
+    index = free_pending_.back();
+    free_pending_.pop_back();
+  } else {
+    index = static_cast<std::uint32_t>(pending_.size());
+    pending_.emplace_back();
+  }
+  peer.ring[seq & (peer.ring.size() - 1)] = index;
+  Pending& p = pending_[index];
+  p = Pending{proto::box(std::move(pdu)), /*attempt=*/0, cfg_.rto_initial};
   transmit(to, seq, p);
   arm_timer(to, seq, p.rto);
-  pending_[to].emplace(seq, std::move(p));
+}
+
+void ReliableChannel::grow_ring(Peer& peer) {
+  const std::size_t cap =
+      peer.ring.empty() ? kInitialRingSlots : peer.ring.size() * 2;
+  std::vector<std::uint32_t> ring(cap, kNoPending);
+  // Move the live span [base, next_seq) over; next_seq is the send that
+  // needed the room and has no slot yet.
+  for (std::uint64_t s = peer.base; s < peer.next_seq; ++s)
+    ring[s & (cap - 1)] = peer.ring[s & (peer.ring.size() - 1)];
+  peer.ring = std::move(ring);
+  peak_ring_slots_ = std::max(peak_ring_slots_, cap);
+}
+
+ReliableChannel::Pending* ReliableChannel::find_pending(Peer& peer,
+                                                        std::uint64_t seq) {
+  if (seq < peer.base || seq > peer.next_seq) return nullptr;
+  const std::uint32_t index = peer.ring[seq & (peer.ring.size() - 1)];
+  return index == kNoPending ? nullptr : &pending_[index];
+}
+
+void ReliableChannel::release(Peer& peer, std::uint64_t seq) {
+  const std::size_t mask = peer.ring.size() - 1;
+  std::uint32_t& slot = peer.ring[seq & mask];
+  pending_[slot] = Pending{};
+  free_pending_.push_back(slot);
+  slot = kNoPending;
+  while (peer.base <= peer.next_seq &&
+         peer.ring[peer.base & mask] == kNoPending)
+    ++peer.base;
 }
 
 void ReliableChannel::send_unreliable(NodeId to, proto::Pdu pdu) {
@@ -44,17 +91,18 @@ void ReliableChannel::arm_timer(NodeId to, std::uint64_t seq, Duration rto) {
 }
 
 void ReliableChannel::on_timeout(NodeId to, std::uint64_t seq) {
-  const auto peer_it = pending_.find(to);
-  if (peer_it == pending_.end()) return;
-  const auto it = peer_it->second.find(seq);
-  if (it == peer_it->second.end()) return;  // acked in the meantime
+  const auto peer_it = peers_.find(to);
+  if (peer_it == peers_.end()) return;
+  Peer& peer = peer_it->second;
+  Pending* pending = find_pending(peer, seq);
+  if (pending == nullptr) return;  // acked in the meantime
   // A crashed endpoint stops talking: its association is gone, and
   // retransmitting from a dead NodeId would resurrect it on the wire.
   if (!fabric_.is_registered(self_)) {
-    peer_it->second.erase(it);
+    release(peer, seq);
     return;
   }
-  Pending& p = it->second;
+  Pending& p = *pending;
   if (p.attempt >= cfg_.max_retransmits) {
     ++abandoned_;
     SCALE_DEBUG("abandoned seq " << seq << " " << self_ << " -> " << to
@@ -67,7 +115,7 @@ void ReliableChannel::on_timeout(NodeId to, std::uint64_t seq) {
       tr->instant(self_, "rto_abandon", fabric_.engine().now(),
                   std::move(args));
     }
-    peer_it->second.erase(it);
+    release(peer, seq);
     return;
   }
   ++p.attempt;
@@ -86,20 +134,49 @@ void ReliableChannel::on_timeout(NodeId to, std::uint64_t seq) {
   arm_timer(to, seq, p.rto);
 }
 
-bool ReliableChannel::register_seq(PeerRx& rx, std::uint64_t seq) {
-  if (seq <= rx.cum) return false;
-  // Out of order: hold it above the gap (the gap itself is still missing,
-  // so the watermark cannot move).
-  if (seq != rx.cum + 1) return rx.above.insert(seq).second;
-  // In order — the common case — needs no set node: advance the watermark,
-  // then absorb any buffered run this segment made contiguous.
-  ++rx.cum;
-  auto it = rx.above.begin();
-  while (it != rx.above.end() && *it == rx.cum + 1) {
-    ++rx.cum;
-    it = rx.above.erase(it);
+bool ReliableChannel::register_seq(Peer& peer, std::uint64_t seq) {
+  if (seq <= peer.cum) return false;
+  if (seq != peer.cum + 1) {
+    // Out of order: mark it above the gap (the gap itself is still
+    // missing, so the watermark cannot move).
+    if (seq - peer.cum > peer.window.size() * 64) grow_window(peer, seq);
+    const std::uint64_t bit = seq & (peer.window.size() * 64 - 1);
+    std::uint64_t& word = peer.window[bit >> 6];
+    const std::uint64_t mask = std::uint64_t{1} << (bit & 63);
+    if ((word & mask) != 0) return false;
+    word |= mask;
+    ++peer.above;
+    return true;
+  }
+  // In order — the common case: advance the watermark, then absorb any
+  // marked run this segment made contiguous.
+  ++peer.cum;
+  while (peer.above > 0) {
+    const std::uint64_t bit = (peer.cum + 1) & (peer.window.size() * 64 - 1);
+    std::uint64_t& word = peer.window[bit >> 6];
+    const std::uint64_t mask = std::uint64_t{1} << (bit & 63);
+    if ((word & mask) == 0) break;
+    word &= ~mask;
+    --peer.above;
+    ++peer.cum;
   }
   return true;
+}
+
+void ReliableChannel::grow_window(Peer& peer, std::uint64_t seq) {
+  std::size_t words =
+      peer.window.empty() ? kInitialWindowWords : peer.window.size() * 2;
+  while (seq - peer.cum > words * 64) words *= 2;
+  std::vector<std::uint64_t> window(words, 0);
+  // Re-place the marks: every marked seq lies in (cum + 1, cum + old bits].
+  const std::uint64_t old_bits = peer.window.size() * 64;
+  for (std::uint64_t s = peer.cum + 2; s <= peer.cum + old_bits; ++s) {
+    const std::uint64_t from = s & (old_bits - 1);
+    if ((peer.window[from >> 6] >> (from & 63) & 1) == 0) continue;
+    const std::uint64_t to = s & (words * 64 - 1);
+    window[to >> 6] |= std::uint64_t{1} << (to & 63);
+  }
+  peer.window = std::move(window);
 }
 
 const proto::Pdu* ReliableChannel::unwrap(NodeId from,
@@ -107,8 +184,11 @@ const proto::Pdu* ReliableChannel::unwrap(NodeId from,
   const auto* cluster = std::get_if<proto::ClusterMessage>(&pdu);
   if (cluster == nullptr) return &pdu;
   if (const auto* ack = std::get_if<proto::TransportAck>(cluster)) {
-    const auto peer_it = pending_.find(from);
-    if (peer_it != pending_.end()) peer_it->second.erase(ack->seq);
+    const auto peer_it = peers_.find(from);
+    if (peer_it != peers_.end()) {
+      Peer& peer = peer_it->second;
+      if (find_pending(peer, ack->seq) != nullptr) release(peer, ack->seq);
+    }
     return nullptr;
   }
   if (const auto* data = std::get_if<proto::TransportData>(cluster)) {
@@ -116,7 +196,7 @@ const proto::Pdu* ReliableChannel::unwrap(NodeId from,
     // retransmission caused by our earlier ack getting dropped.
     send_unreliable(from, proto::make_pdu(proto::TransportAck{
                               .seq = data->seq}));
-    if (!register_seq(rx_[from], data->seq)) {
+    if (!register_seq(peers_[from], data->seq)) {
       ++dups_suppressed_;
       return nullptr;
     }

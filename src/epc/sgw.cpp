@@ -28,9 +28,9 @@ void Sgw::handle_s11(NodeId from, const proto::S11Message& msg) {
         if constexpr (std::is_same_v<T, proto::CreateSessionRequest>) {
           cpu_.execute(cfg_.session_service_time, [this, from, m]() {
             const proto::Teid teid{next_teid_++};
-            sessions_[teid.raw] =
-                Session{m.imsi, m.mme_teid, from, 0, false};
-            teid_by_imsi_[m.imsi] = teid.raw;
+            sessions_.put(teid.raw,
+                          Session{m.imsi, m.mme_teid, from, 0, false});
+            teid_by_imsi_.put(m.imsi, teid.raw);
             proto::CreateSessionResponse resp;
             resp.mme_teid = m.mme_teid;
             resp.sgw_teid = teid;
@@ -38,11 +38,10 @@ void Sgw::handle_s11(NodeId from, const proto::S11Message& msg) {
           });
         } else if constexpr (std::is_same_v<T, proto::ModifyBearerRequest>) {
           cpu_.execute(cfg_.bearer_service_time, [this, from, m]() {
-            const auto it = sessions_.find(m.sgw_teid.raw);
-            if (it != sessions_.end()) {
-              it->second.enb_id = m.enb_id;
-              it->second.bearer_active = true;
-              it->second.mme_teid = m.mme_teid;
+            if (Session* session = sessions_.find(m.sgw_teid.raw)) {
+              session->enb_id = m.enb_id;
+              session->bearer_active = true;
+              session->mme_teid = m.mme_teid;
             }
             proto::ModifyBearerResponse resp;
             resp.mme_teid = m.mme_teid;
@@ -51,18 +50,17 @@ void Sgw::handle_s11(NodeId from, const proto::S11Message& msg) {
         } else if constexpr (std::is_same_v<T,
                                             proto::ReleaseAccessBearersRequest>) {
           cpu_.execute(cfg_.bearer_service_time, [this, from, m]() {
-            const auto it = sessions_.find(m.sgw_teid.raw);
-            if (it != sessions_.end()) it->second.bearer_active = false;
+            if (Session* session = sessions_.find(m.sgw_teid.raw))
+              session->bearer_active = false;
             proto::ReleaseAccessBearersResponse resp;
             resp.mme_teid = m.mme_teid;
             rel_.send(from, proto::make_pdu(resp));
           });
         } else if constexpr (std::is_same_v<T, proto::DeleteSessionRequest>) {
           cpu_.execute(cfg_.session_service_time, [this, from, m]() {
-            const auto it = sessions_.find(m.sgw_teid.raw);
-            if (it != sessions_.end()) {
-              teid_by_imsi_.erase(it->second.imsi);
-              sessions_.erase(it);
+            if (const Session* session = sessions_.find(m.sgw_teid.raw)) {
+              teid_by_imsi_.erase(session->imsi);
+              sessions_.erase(m.sgw_teid.raw);
             }
             proto::DeleteSessionResponse resp;
             resp.mme_teid = m.mme_teid;
@@ -79,13 +77,12 @@ void Sgw::handle_s11(NodeId from, const proto::S11Message& msg) {
 }
 
 bool Sgw::inject_downlink_data(proto::Teid sgw_teid) {
-  const auto it = sessions_.find(sgw_teid.raw);
-  if (it == sessions_.end()) return false;
-  const Session& session = it->second;
-  if (session.bearer_active) return true;  // delivered directly; no paging
-  // Capture by value: the session map may rehash before the CPU slice runs.
-  const proto::Teid mme_teid = session.mme_teid;
-  const NodeId control_node = session.control_node;
+  const Session* session = sessions_.find(sgw_teid.raw);
+  if (session == nullptr) return false;
+  if (session->bearer_active) return true;  // delivered directly; no paging
+  // Capture by value: the session table may grow before the CPU slice runs.
+  const proto::Teid mme_teid = session->mme_teid;
+  const NodeId control_node = session->control_node;
   cpu_.execute(cfg_.bearer_service_time, [this, mme_teid, control_node]() {
     proto::DownlinkDataNotification ddn;
     ddn.mme_teid = mme_teid;
@@ -96,8 +93,8 @@ bool Sgw::inject_downlink_data(proto::Teid sgw_teid) {
 }
 
 proto::Teid Sgw::teid_for(proto::Imsi imsi) const {
-  const auto it = teid_by_imsi_.find(imsi);
-  return it == teid_by_imsi_.end() ? proto::Teid{} : proto::Teid{it->second};
+  const std::uint32_t* teid = teid_by_imsi_.find(imsi);
+  return teid == nullptr ? proto::Teid{} : proto::Teid{*teid};
 }
 
 }  // namespace scale::epc

@@ -5,9 +5,9 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 
 #include "epc/fabric.h"
+#include "epc/flat_table.h"
 #include "epc/reliable.h"
 #include "sim/cpu.h"
 
@@ -58,8 +58,8 @@ class Sgw : public Endpoint {
   NodeId node_;
   ReliableChannel rel_;
   sim::CpuModel cpu_;
-  std::unordered_map<std::uint32_t, Session> sessions_;  // by sgw teid
-  std::unordered_map<proto::Imsi, std::uint32_t> teid_by_imsi_;
+  FlatTable<Session> sessions_;             // by sgw teid
+  FlatTable<std::uint32_t> teid_by_imsi_;  // imsi -> sgw teid
   std::uint32_t next_teid_ = 1;
   std::uint64_t ddn_sent_ = 0;
 };

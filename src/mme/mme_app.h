@@ -18,9 +18,9 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
+#include "epc/flat_table.h"
 #include "epc/ue_context.h"
 #include "mme/service_profile.h"
 #include "proto/pdu.h"
@@ -127,7 +127,7 @@ class MmeApp {
 
   /// True if a procedure transaction is in flight for this context.
   bool has_transaction(std::uint64_t guti_key) const {
-    return txns_.count(guti_key) > 0;
+    return txns_.contains(guti_key);
   }
 
   /// Number of procedure transactions currently in flight (an overload
@@ -187,7 +187,9 @@ class MmeApp {
   Config cfg_;
   MmeAppHooks hooks_;
   UeContextStore store_;
-  std::unordered_map<std::uint64_t, Txn> txns_;
+  /// In-flight procedures by GUTI key; kept out of UeContextStore's
+  /// columns, which would charge every stored context for a Txn.
+  epc::FlatTable<Txn> txns_;
   Counters counters_;
   std::uint32_t next_tmsi_ = 1;
   std::uint32_t next_ue_seq_ = 1;

@@ -213,13 +213,17 @@ class Parser {
   explicit Parser(std::string_view text) : text_(text) {}
 
   std::optional<Json> run(std::string* error) {
-    auto v = value();
+    Json v;
+    bool ok = value(v);
     skip_ws();
-    if (v && pos_ != text_.size()) {
+    if (ok && pos_ != text_.size()) {
       fail("trailing characters after document");
-      v.reset();
+      ok = false;
     }
-    if (!v && error) *error = error_;
+    if (!ok) {
+      if (error) *error = error_;
+      return std::nullopt;
+    }
     return v;
   }
 
@@ -254,27 +258,40 @@ class Parser {
     return false;
   }
 
-  std::optional<Json> value() {
+  // Each production parses into `out` and returns false (with error_ set)
+  // on malformed input — out-parameters rather than std::optional<Json>
+  // keep GCC's -Wmaybe-uninitialized quiet across the variant's members.
+  bool value(Json& out) {
     skip_ws();
     if (pos_ >= text_.size()) {
       fail("unexpected end of input");
-      return std::nullopt;
+      return false;
     }
     const char c = text_[pos_];
-    if (c == '{') return object();
-    if (c == '[') return array();
+    if (c == '{') return object(out);
+    if (c == '[') return array(out);
     if (c == '"') {
-      auto s = string();
-      if (!s) return std::nullopt;
-      return Json(std::move(*s));
+      std::string s;
+      if (!string(s)) return false;
+      out = Json(std::move(s));
+      return true;
     }
-    if (literal("null")) return Json(nullptr);
-    if (literal("true")) return Json(true);
-    if (literal("false")) return Json(false);
-    return number();
+    if (literal("null")) {
+      out = Json(nullptr);
+      return true;
+    }
+    if (literal("true")) {
+      out = Json(true);
+      return true;
+    }
+    if (literal("false")) {
+      out = Json(false);
+      return true;
+    }
+    return number(out);
   }
 
-  std::optional<Json> number() {
+  bool number(Json& out) {
     const std::size_t start = pos_;
     if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
     bool is_double = false;
@@ -291,32 +308,36 @@ class Parser {
     }
     if (pos_ == start) {
       fail("expected a value");
-      return std::nullopt;
+      return false;
     }
     const std::string_view tok = text_.substr(start, pos_ - start);
     if (!is_double) {
       std::int64_t iv = 0;
       const auto res = std::from_chars(tok.begin(), tok.end(), iv);
-      if (res.ec == std::errc() && res.ptr == tok.end()) return Json(iv);
+      if (res.ec == std::errc() && res.ptr == tok.end()) {
+        out = Json(iv);
+        return true;
+      }
     }
     double dv = 0.0;
     const auto res = std::from_chars(tok.begin(), tok.end(), dv);
     if (res.ec != std::errc() || res.ptr != tok.end()) {
       fail("malformed number");
-      return std::nullopt;
+      return false;
     }
-    return Json(dv);
+    out = Json(dv);
+    return true;
   }
 
-  std::optional<std::string> string() {
+  bool string(std::string& out) {
     if (!consume('"')) {
       fail("expected '\"'");
-      return std::nullopt;
+      return false;
     }
-    std::string out;
+    out.clear();
     while (pos_ < text_.size()) {
       const char c = text_[pos_++];
-      if (c == '"') return out;
+      if (c == '"') return true;
       if (c != '\\') {
         out += c;
         continue;
@@ -335,7 +356,7 @@ class Parser {
         case 'u': {
           if (pos_ + 4 > text_.size()) {
             fail("truncated \\u escape");
-            return std::nullopt;
+            return false;
           }
           unsigned cp = 0;
           for (int i = 0; i < 4; ++i) {
@@ -349,7 +370,7 @@ class Parser {
               cp |= static_cast<unsigned>(h - 'A' + 10);
             } else {
               fail("bad hex digit in \\u escape");
-              return std::nullopt;
+              return false;
             }
           }
           // Basic-plane code point to UTF-8 (we never emit surrogates).
@@ -367,55 +388,55 @@ class Parser {
         }
         default:
           fail("unknown escape");
-          return std::nullopt;
+          return false;
       }
     }
     fail("unterminated string");
-    return std::nullopt;
+    return false;
   }
 
-  std::optional<Json> array() {
+  bool array(Json& out) {
     if (!consume('[')) {
       fail("expected '['");
-      return std::nullopt;
+      return false;
     }
-    Json out = Json::array();
+    out = Json::array();
     skip_ws();
-    if (consume(']')) return out;
+    if (consume(']')) return true;
     while (true) {
-      auto v = value();
-      if (!v) return std::nullopt;
-      out.push_back(std::move(*v));
+      Json v;
+      if (!value(v)) return false;
+      out.push_back(std::move(v));
       if (consume(',')) continue;
-      if (consume(']')) return out;
+      if (consume(']')) return true;
       fail("expected ',' or ']'");
-      return std::nullopt;
+      return false;
     }
   }
 
-  std::optional<Json> object() {
+  bool object(Json& out) {
     if (!consume('{')) {
       fail("expected '{'");
-      return std::nullopt;
+      return false;
     }
-    Json out = Json::object();
+    out = Json::object();
     skip_ws();
-    if (consume('}')) return out;
+    if (consume('}')) return true;
     while (true) {
       skip_ws();
-      auto key = string();
-      if (!key) return std::nullopt;
+      std::string key;
+      if (!string(key)) return false;
       if (!consume(':')) {
         fail("expected ':'");
-        return std::nullopt;
+        return false;
       }
-      auto v = value();
-      if (!v) return std::nullopt;
-      out.set(std::move(*key), std::move(*v));
+      Json v;
+      if (!value(v)) return false;
+      out.set(std::move(key), std::move(v));
       if (consume(',')) continue;
-      if (consume('}')) return out;
+      if (consume('}')) return true;
       fail("expected ',' or '}'");
-      return std::nullopt;
+      return false;
     }
   }
 

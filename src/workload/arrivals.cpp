@@ -1,5 +1,7 @@
 #include "workload/arrivals.h"
 
+#include <array>
+
 #include "common/check.h"
 
 namespace scale::workload {
@@ -66,9 +68,9 @@ bool OpenLoopDriver::try_procedure(Ue& ue, int which) {
 }
 
 bool OpenLoopDriver::fire_one() {
-  const std::vector<double> weights = {cfg_.mix.attach,
-                                       cfg_.mix.service_request, cfg_.mix.tau,
-                                       cfg_.mix.handover, cfg_.mix.detach};
+  const std::array<double, 5> weights = {cfg_.mix.attach,
+                                         cfg_.mix.service_request, cfg_.mix.tau,
+                                         cfg_.mix.handover, cfg_.mix.detach};
   for (unsigned attempt = 0; attempt < cfg_.resample_attempts; ++attempt) {
     Ue& ue = *devices_[static_cast<std::size_t>(
         rng_.next_below(devices_.size()))];

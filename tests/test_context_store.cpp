@@ -1,13 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
+#include <map>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
 #include "common/rng.h"
 
+#include "epc/flat_table.h"
 #include "epc/ue_context.h"
 
 namespace scale::epc {
@@ -20,6 +24,53 @@ proto::UeContextRecord rec_for(std::uint32_t tmsi, proto::Imsi imsi,
   rec.imsi = imsi;
   rec.state_bytes = bytes;
   return rec;
+}
+
+// --- FlatTable: the node-free table behind MME transactions, eNodeB
+// connections and S-GW sessions.
+
+TEST(FlatTable, PutFindEraseAndSlotReuse) {
+  FlatTable<int> t;
+  EXPECT_TRUE(t.empty());
+  EXPECT_EQ(t.find(7), nullptr);
+  EXPECT_FALSE(t.erase(7));
+  t.put(7, 70);
+  t.put(9, 90);
+  ASSERT_NE(t.find(7), nullptr);
+  EXPECT_EQ(*t.find(7), 70);
+  EXPECT_EQ(t.put(7, 71), 71) << "put overwrites an existing key";
+  EXPECT_EQ(t.size(), 2u);
+  const int* nine = t.find(9);
+  EXPECT_TRUE(t.erase(7));
+  EXPECT_FALSE(t.contains(7));
+  EXPECT_EQ(t.find(9), nine) << "erase must not move other values";
+  // The freed slot is reused, so the value vector does not grow.
+  int& reused = t.put(11, 110);
+  EXPECT_EQ(&reused, nine - 1);
+  EXPECT_EQ(t.size(), 2u);
+}
+
+TEST(FlatTable, ChurnMatchesAnOrderedMap) {
+  FlatTable<std::uint64_t> t;
+  std::map<std::uint64_t, std::uint64_t> ref;
+  Rng rng(0xF1A7ull);
+  for (int i = 0; i < 200000; ++i) {
+    const std::uint64_t key = rng.next_below(4096);
+    if (rng.chance(0.45)) {
+      EXPECT_EQ(t.erase(key), ref.erase(key) == 1);
+    } else {
+      t.put(key, key * 3 + static_cast<std::uint64_t>(i));
+      ref[key] = key * 3 + static_cast<std::uint64_t>(i);
+    }
+  }
+  ASSERT_EQ(t.size(), ref.size());
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> seen;
+  t.for_each(
+      [&](std::uint64_t k, std::uint64_t v) { seen.emplace_back(k, v); });
+  std::sort(seen.begin(), seen.end());
+  const std::vector<std::pair<std::uint64_t, std::uint64_t>> want(ref.begin(),
+                                                                  ref.end());
+  EXPECT_EQ(seen, want);
 }
 
 TEST(ContextStore, InsertFindErase) {

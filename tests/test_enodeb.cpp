@@ -3,7 +3,10 @@
 // exclusion on redirect, S1 connection bookkeeping.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <memory>
+#include <vector>
 
 #include "epc/enodeb.h"
 #include "epc/ue.h"
@@ -227,6 +230,77 @@ TEST(EnodeB, RrcSupervisionSparesActiveConnections) {
   EXPECT_EQ(enb.connection_count(), 1u)
       << "activity must keep the RRC connection alive";
   EXPECT_EQ(enb.rrc_releases(), 0u);
+}
+
+/// MME side that answers every InitialUeMessage with an
+/// InitialContextSetupRequest, then goes silent.
+class SetupOnlyMme : public Endpoint {
+ public:
+  explicit SetupOnlyMme(Fabric& fabric) : fabric_(fabric) {
+    node_ = fabric.add_endpoint(this);
+  }
+  ~SetupOnlyMme() override { fabric_.remove_endpoint(node_); }
+
+  void receive(NodeId from, const proto::Pdu& pdu) override {
+    const auto* s1ap = std::get_if<proto::S1apMessage>(&pdu);
+    if (s1ap == nullptr) return;
+    const auto* init = std::get_if<proto::InitialUeMessage>(s1ap);
+    if (init == nullptr) return;
+    proto::InitialContextSetupRequest ics;
+    ics.enb_id = from;
+    ics.enb_ue_id = init->enb_ue_id;
+    ics.mme_ue_id = proto::MmeUeId::make(1, init->enb_ue_id);
+    fabric_.send(node_, from, proto::make_pdu(ics));
+  }
+
+  NodeId node() const { return node_; }
+
+ private:
+  Fabric& fabric_;
+  NodeId node_ = 0;
+};
+
+TEST(EnodeB, RrcSupervisionReleasesInConnectionIdOrder) {
+  // Many connections go stale in one sweep. Each release schedules its own
+  // event, so the order is part of the trajectory: ascending eNB-UE id,
+  // whatever order the connection table holds them in.
+  sim::Engine engine;
+  sim::Network network{Duration::us(100)};
+  Fabric fabric{engine, network};
+  EnodeB::Config cfg;
+  cfg.rrc_inactivity = Duration::sec(2.0);
+  EnodeB enb(fabric, cfg);
+  SetupOnlyMme mme(fabric);
+  enb.add_mme(mme.node(), 1, 1.0);
+
+  constexpr std::size_t kUes = 48;
+  std::vector<std::unique_ptr<Ue>> ues;
+  for (std::size_t i = 0; i < kUes; ++i) {
+    Ue::Config ue_cfg;
+    ue_cfg.imsi = 1000 + i;
+    ue_cfg.secret_key = 1;
+    ue_cfg.guard_timeout = Duration::zero();
+    ues.push_back(std::make_unique<Ue>(engine, &enb, ue_cfg));
+    ues.back()->attach();
+  }
+  engine.run_until(Time::from_sec(0.5));
+  ASSERT_EQ(enb.connection_count(), kUes);
+  for (const auto& ue : ues) ASSERT_TRUE(ue->connected());
+
+  // Step one event at a time: each release event idles exactly one UE.
+  std::vector<proto::EnbUeId> order;
+  std::vector<bool> released(kUes, false);
+  while (order.size() < kUes && engine.now() < Time::from_sec(10.0)) {
+    engine.run(1);
+    for (std::size_t i = 0; i < kUes; ++i) {
+      if (released[i] || ues[i]->connected()) continue;
+      released[i] = true;
+      order.push_back(ues[i]->s1_conn());
+    }
+  }
+  ASSERT_EQ(order.size(), kUes);
+  EXPECT_TRUE(std::is_sorted(order.begin(), order.end()));
+  EXPECT_EQ(enb.rrc_releases(), kUes);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 // pins the exact message sequence each procedure FSM emits.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -18,6 +19,8 @@ struct Harness {
   std::vector<proto::S1apMessage> to_enb;
   std::vector<proto::S11Message> to_sgw;
   std::vector<proto::S6Message> to_hss;
+  /// Optional probe run inside the to_enb hook, i.e. mid-procedure.
+  std::function<void()> on_to_enb;
   std::unique_ptr<MmeApp> app;
 
   explicit Harness(MmeApp::Config cfg = {}) {
@@ -32,6 +35,7 @@ struct Harness {
                 [this](sim::NodeId, proto::S1apMessage m) {
                   outbox.push_back(std::string("s1ap:") + proto::s1ap_name(m));
                   to_enb.push_back(std::move(m));
+                  if (on_to_enb) on_to_enb();
                 },
             .to_sgw =
                 [this](const UeContext&, proto::S11Message m) {
@@ -211,6 +215,85 @@ TEST(MmeAppUnit, TauRebrandsForeignGuti) {
   EXPECT_EQ(accept.new_guti->mme_code, 5)
       << "an adopting MME must re-brand the GUTI so the eNodeB routes here";
   EXPECT_EQ(h.app->store().find_by_imsi(999)->rec.guti.mme_code, 5);
+}
+
+// A re-brand moves the context to a fresh GUTI key mid-procedure; the
+// transaction must move with it, intact (the replies still carry the
+// original eNodeB connection), and leave nothing behind under either key.
+TEST(MmeAppUnit, AttachRebrandKeepsTransactionUnderNewKey) {
+  MmeApp::Config cfg;
+  cfg.mme_code = 5;
+  Harness h(cfg);
+  proto::UeContextRecord rec;
+  rec.imsi = 4242;
+  rec.guti = proto::Guti{1, 1, /*code=*/2, 10};
+  rec.kasme = 0x77;  // intact security context: no HSS round trip
+  h.app->adopt(rec, epc::ContextRole::kMaster);
+
+  proto::NasAttachRequest attach;
+  attach.imsi = 4242;
+  attach.old_guti = rec.guti;
+  h.s1ap(proto::S1apMessage{h.initial(proto::NasMessage{attach})});
+  ASSERT_EQ(h.outbox.back(), "s11:CreateSessionRequest");
+  EXPECT_TRUE(h.app->has_transaction(rec.guti.key()));
+
+  int probes = 0;
+  h.on_to_enb = [&]() {
+    const UeContext* ctx = h.app->store().find_by_imsi(4242);
+    ASSERT_NE(ctx, nullptr);
+    EXPECT_EQ(ctx->rec.guti.mme_code, 5);
+    EXPECT_TRUE(h.app->has_transaction(ctx->key()));
+    EXPECT_FALSE(h.app->has_transaction(rec.guti.key()));
+    EXPECT_EQ(h.app->in_flight(), 1u);
+    ++probes;
+  };
+  proto::CreateSessionResponse csr;
+  csr.mme_teid =
+      std::get<proto::CreateSessionRequest>(h.to_sgw.back()).mme_teid;
+  csr.sgw_teid = proto::Teid{99};
+  h.s11(proto::S11Message{csr});
+  EXPECT_EQ(probes, 2);  // AttachAccept + InitialContextSetupRequest
+
+  const auto& dl =
+      std::get<proto::DownlinkNasTransport>(h.to_enb[h.to_enb.size() - 2]);
+  EXPECT_EQ(dl.enb_ue_id, 71u);
+  EXPECT_EQ(std::get<proto::NasAttachAccept>(dl.nas).guti.mme_code, 5);
+  const auto& ics =
+      std::get<proto::InitialContextSetupRequest>(h.to_enb.back());
+  EXPECT_EQ(ics.enb_id, 500u);
+  EXPECT_EQ(ics.enb_ue_id, 71u);
+  EXPECT_EQ(h.app->in_flight(), 0u);
+  EXPECT_EQ(h.app->counters().procedures[static_cast<int>(
+                proto::ProcedureType::kAttach)],
+            1u);
+}
+
+TEST(MmeAppUnit, TauRebrandKeepsTransactionUnderNewKey) {
+  MmeApp::Config cfg;
+  cfg.mme_code = 5;
+  Harness h(cfg);
+  proto::UeContextRecord rec;
+  rec.imsi = 4343;
+  rec.guti = proto::Guti{1, 1, /*code=*/2, 11};
+  h.app->adopt(rec, epc::ContextRole::kMaster);
+
+  int probes = 0;
+  h.on_to_enb = [&]() {
+    const UeContext* ctx = h.app->store().find_by_imsi(4343);
+    ASSERT_NE(ctx, nullptr);
+    EXPECT_TRUE(h.app->has_transaction(ctx->key()));
+    EXPECT_FALSE(h.app->has_transaction(rec.guti.key()));
+    ++probes;
+  };
+  proto::NasTauRequest tau;
+  tau.guti = rec.guti;
+  h.s1ap(proto::S1apMessage{h.initial(proto::NasMessage{tau})});
+  EXPECT_EQ(probes, 1);
+  const auto& dl = std::get<proto::DownlinkNasTransport>(h.to_enb.back());
+  EXPECT_EQ(dl.enb_id, 500u);
+  EXPECT_EQ(dl.enb_ue_id, 71u);
+  ASSERT_TRUE(std::get<proto::NasTauAccept>(dl.nas).new_guti.has_value());
+  EXPECT_EQ(h.app->in_flight(), 0u);
 }
 
 TEST(MmeAppUnit, CpuCostsChargedPerStep) {

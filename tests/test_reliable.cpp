@@ -247,5 +247,151 @@ TEST_F(ReliableTest, ReceiveWatermarkDedupsAcrossOrderAndGaps) {
   EXPECT_EQ(net.messages_sent(), 16u);
 }
 
+// --- per-peer send ring and receive bit window -------------------------
+
+/// Feed a TransportAck for `seq` from `from` straight into `rel`.
+void ack(epc::ReliableChannel& rel, sim::NodeId from, std::uint64_t seq) {
+  const proto::Pdu a = proto::make_pdu(proto::TransportAck{.seq = seq});
+  EXPECT_EQ(rel.unwrap(from, a), nullptr) << "acks are shim traffic";
+}
+
+/// Feed segment `seq` from `from` into `rel`; true if it was delivered.
+bool segment(epc::ReliableChannel& rel, sim::NodeId from, std::uint64_t seq) {
+  const proto::Pdu seg = proto::make_pdu(proto::TransportData{
+      .seq = seq, .attempt = 0, .inner = proto::box(ping(seq))});
+  return rel.unwrap(from, seg) != nullptr;
+}
+
+TEST_F(ReliableTest, SendRingGrowsAndWrapsUnderOutOfOrderAcks) {
+  enable_transport();
+  RelNode a(fabric), b(fabric);
+  // 40 sends with nothing acked: the ring doubles 16 -> 32 -> 64.
+  for (int i = 1; i <= 40; ++i) a.rel.send(b.node, ping(i));
+  EXPECT_EQ(a.rel.unacked(), 40u);
+  EXPECT_EQ(a.rel.peak_ring_slots(), 64u);
+  // Evens first: the oldest seq (1) stays unacked, so the base cannot move.
+  for (std::uint64_t s = 2; s <= 40; s += 2) ack(a.rel, b.node, s);
+  EXPECT_EQ(a.rel.unacked(), 20u);
+  // Odds newest-first: the base jumps past all 40 when seq 1 goes.
+  for (int s = 39; s >= 1; s -= 2)
+    ack(a.rel, b.node, static_cast<std::uint64_t>(s));
+  EXPECT_EQ(a.rel.unacked(), 0u);
+  // Many laps round the ring, ten sends in flight, acked in reverse pairs:
+  // the span never exceeds the ring, so it must not grow again.
+  std::uint64_t acked = 40;
+  for (std::uint64_t s = 41; s <= 1040; ++s) {
+    a.rel.send(b.node, ping(s));
+    if (s - acked == 10) {
+      ack(a.rel, b.node, acked + 2);
+      ack(a.rel, b.node, acked + 1);
+      acked += 2;
+    }
+  }
+  EXPECT_EQ(a.rel.peak_ring_slots(), 64u);
+  EXPECT_EQ(a.rel.unacked(), 1040u - acked);
+  for (std::uint64_t s = 1040; s > acked; --s) ack(a.rel, b.node, s);
+  EXPECT_EQ(a.rel.unacked(), 0u);
+  // Every retransmit timer finds its slot cleared; b gets each segment once
+  // and its acks land below the base as no-ops.
+  engine.run_until(Time::from_sec(60.0));
+  EXPECT_EQ(b.got.size(), 1040u);
+  EXPECT_EQ(a.rel.retransmits(), 0u);
+  EXPECT_EQ(a.rel.unacked(), 0u);
+  EXPECT_TRUE(engine.idle());
+}
+
+TEST_F(ReliableTest, AbandonedSeqClearsItsSlotAndFreesTheBase) {
+  enable_transport();
+  RelNode a(fabric), b(fabric);
+  // Seq 1 is lost for longer than the whole retry horizon (19.75 s).
+  net.schedule_link_down(a.node, b.node, Time::zero(), Time::from_sec(25.0));
+  a.rel.send(b.node, ping(1));
+  engine.run_until(Time::from_sec(26.0));
+  ASSERT_EQ(a.rel.abandoned(), 1u);
+  EXPECT_EQ(a.rel.unacked(), 0u);
+  // Had the abandoned slot pinned the base, 30 more sends would span 31
+  // seqs and outgrow the initial 16 slots.
+  for (int i = 2; i <= 31; ++i) {
+    a.rel.send(b.node, ping(i));
+    engine.run_until(engine.now() + Duration::ms(10.0));
+  }
+  engine.run_until(Time::from_sec(60.0));
+  EXPECT_EQ(b.got.size(), 30u);
+  EXPECT_EQ(a.rel.unacked(), 0u);
+  EXPECT_EQ(a.rel.peak_ring_slots(), 16u);
+}
+
+TEST_F(ReliableTest, LateAckBelowBaseIsANoOp) {
+  enable_transport();
+  RelNode a(fabric), b(fabric);
+  for (int i = 1; i <= 3; ++i) a.rel.send(b.node, ping(i));
+  for (std::uint64_t s = 1; s <= 3; ++s) ack(a.rel, b.node, s);
+  ASSERT_EQ(a.rel.unacked(), 0u);
+  ack(a.rel, b.node, 1);   // duplicate, below the base
+  ack(a.rel, b.node, 3);   // duplicate of the newest
+  ack(a.rel, b.node, 99);  // never sent
+  ack(a.rel, b.node, 0);   // seqs start at 1
+  EXPECT_EQ(a.rel.unacked(), 0u);
+  a.rel.send(b.node, ping(4));
+  EXPECT_EQ(a.rel.unacked(), 1u);
+  ack(a.rel, b.node, 2);
+  EXPECT_EQ(a.rel.unacked(), 1u) << "a stale ack must not clear seq 4";
+  ack(a.rel, b.node, 4);
+  EXPECT_EQ(a.rel.unacked(), 0u);
+}
+
+TEST_F(ReliableTest, CrashedSenderDropsItsSlots) {
+  enable_transport();
+  RelNode a(fabric), b(fabric);
+  net.schedule_link_down(a.node, b.node, Time::zero(), Time::from_sec(50.0));
+  for (int i = 1; i <= 20; ++i) a.rel.send(b.node, ping(i));
+  ASSERT_EQ(a.rel.unacked(), 20u);
+  a.crash();
+  engine.run_until(Time::from_sec(100.0));
+  // Each slot is dropped when its next timer finds the sender gone.
+  EXPECT_EQ(a.rel.unacked(), 0u);
+  EXPECT_EQ(a.rel.retransmits(), 0u);
+  EXPECT_EQ(a.rel.abandoned(), 0u);
+  EXPECT_TRUE(b.got.empty());
+  EXPECT_TRUE(engine.idle());
+}
+
+TEST_F(ReliableTest, ReceiveGapWiderThanTheInitialWindow) {
+  enable_transport();
+  RelNode a(fabric), b(fabric);
+  // The window starts at 64 seqs above the watermark; 500 needs 512.
+  EXPECT_TRUE(segment(b.rel, a.node, 1));
+  EXPECT_TRUE(segment(b.rel, a.node, 40));   // marked in the first window
+  EXPECT_TRUE(segment(b.rel, a.node, 500));  // grows it; 40 is re-placed
+  EXPECT_TRUE(segment(b.rel, a.node, 200));
+  EXPECT_FALSE(segment(b.rel, a.node, 500));
+  EXPECT_FALSE(segment(b.rel, a.node, 40));
+  // Fill the gap in order: marked seqs are absorbed, not delivered twice.
+  for (std::uint64_t s = 2; s <= 499; ++s) {
+    const bool marked = s == 40 || s == 200;
+    EXPECT_EQ(segment(b.rel, a.node, s), !marked) << "seq " << s;
+  }
+  EXPECT_FALSE(segment(b.rel, a.node, 500));  // now below the watermark
+  EXPECT_TRUE(segment(b.rel, a.node, 501));
+  EXPECT_EQ(b.rel.duplicates_suppressed(), 5u);
+}
+
+TEST_F(ReliableTest, DuplicateSuppressedAcrossAFarAheadSegment) {
+  enable_transport();
+  RelNode a(fabric), b(fabric);
+  EXPECT_TRUE(segment(b.rel, a.node, 1));
+  EXPECT_TRUE(segment(b.rel, a.node, 100000));
+  EXPECT_TRUE(segment(b.rel, a.node, 3));
+  EXPECT_FALSE(segment(b.rel, a.node, 100000));
+  EXPECT_FALSE(segment(b.rel, a.node, 3));
+  EXPECT_TRUE(segment(b.rel, a.node, 2));      // absorbs 3
+  EXPECT_FALSE(segment(b.rel, a.node, 3));
+  EXPECT_TRUE(segment(b.rel, a.node, 4));
+  EXPECT_TRUE(segment(b.rel, a.node, 99999));
+  EXPECT_FALSE(segment(b.rel, a.node, 100000));
+  EXPECT_FALSE(segment(b.rel, a.node, 99999));
+  EXPECT_EQ(b.rel.duplicates_suppressed(), 5u);
+}
+
 }  // namespace
 }  // namespace scale

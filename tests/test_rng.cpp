@@ -2,7 +2,9 @@
 
 #include "common/check.h"
 
+#include <array>
 #include <cmath>
+#include <span>
 #include <vector>
 
 #include "common/rng.h"
@@ -144,7 +146,36 @@ TEST(Rng, WeightedIndexDistribution) {
 
 TEST(Rng, WeightedIndexRejectsAllZero) {
   Rng rng(41);
-  EXPECT_THROW(rng.weighted_index({0.0, 0.0}), CheckError);
+  EXPECT_THROW(rng.weighted_index(std::vector<double>{0.0, 0.0}), CheckError);
+}
+
+// The span overload must keep the draw sequence of the vector-taking one it
+// replaced: one next_double() per pick, cumulative-subtraction selection.
+// A reference copy of that algorithm runs on a twin stream; picks and the
+// stream state afterwards must match, whether the weights come from a
+// vector, a std::array or a sub-span.
+TEST(Rng, WeightedIndexSpanKeepsTheVectorDrawSequence) {
+  const auto reference = [](Rng& rng, const std::vector<double>& weights) {
+    double total = 0.0;
+    for (double w : weights) total += w;
+    double target = rng.next_double() * total;
+    for (std::size_t i = 0; i < weights.size(); ++i) {
+      target -= weights[i];
+      if (target < 0.0) return i;
+    }
+    return weights.size() - 1;
+  };
+  const std::vector<double> mix = {0.2, 0.5, 0.0, 0.25, 0.05};
+  const std::array<double, 5> mix_array = {0.2, 0.5, 0.0, 0.25, 0.05};
+  Rng rng(2024);
+  Rng twin(2024);
+  for (int i = 0; i < 10000; ++i) {
+    ASSERT_EQ(rng.weighted_index(mix), reference(twin, mix)) << "draw " << i;
+    ASSERT_EQ(rng.weighted_index(mix_array), reference(twin, mix));
+    const std::span<const double> head(mix.data(), 2);
+    ASSERT_EQ(rng.weighted_index(head), reference(twin, {0.2, 0.5}));
+  }
+  EXPECT_EQ(rng.next_u64(), twin.next_u64());
 }
 
 TEST(Rng, ForkProducesIndependentStream) {
