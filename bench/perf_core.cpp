@@ -1,7 +1,8 @@
 // perf_core — deterministic microbench of the simulator hot path: the event
-// engine (schedule / fire / cancel), the PDU codecs and a fabric hop, each
-// reported as throughput (events/s, PDUs/s, bytes/s) *and* as an exact heap
-// allocation count from an interposing counting allocator.
+// engine (schedule / fire / cancel), the PDU codecs, a fabric hop and the
+// MD5 consistent-hash ring lookup, each reported as throughput (events/s,
+// PDUs/s, bytes/s) *and* as an exact heap allocation count from an
+// interposing counting allocator.
 //
 // The allocation counters are the perf trajectory's regression gate: they are
 // a pure function of the (seeded, deterministic) workload and the toolchain,
@@ -37,8 +38,8 @@
 #include "core/cluster.h"
 #include "epc/fabric.h"
 #include "epc/reliable.h"
+#include "hash/ring.h"
 #include "obs/bench_main.h"
-#include "proto/buffer_pool.h"
 #include "proto/codec.h"
 #include "sim/cpu.h"
 #include "sim/engine.h"
@@ -200,14 +201,20 @@ proto::Pdu transfer_pdu() {
 }
 
 PhaseResult phase_codec_encode(std::uint64_t div) {
-  return run_phase([div](PhaseResult& r) {
-    const proto::Pdu a = attach_pdu();
-    const proto::Pdu b = transfer_pdu();
+  const proto::Pdu a = attach_pdu();
+  const proto::Pdu b = transfer_pdu();
+  // Reserved before the measured window and handed back and forth between
+  // the writer and this vector: the gate is that encoding allocates nothing.
+  std::vector<std::uint8_t> storage;
+  storage.reserve(256);
+  return run_phase([div, &a, &b, &storage](PhaseResult& r) {
     const std::uint64_t kIters = 400'000 / div;
     std::uint64_t bytes = 0;
     for (std::uint64_t i = 0; i < kIters; ++i) {
-      proto::PooledBuffer buf = proto::encode_pdu_pooled(i % 2 == 0 ? a : b);
-      bytes += buf->size();
+      proto::ByteWriter w(std::move(storage));
+      proto::encode_pdu_into(i % 2 == 0 ? a : b, w);
+      bytes += w.size();
+      storage = w.take();
     }
     r.ops = kIters;
     r.bytes = bytes;
@@ -372,18 +379,23 @@ PhaseResult phase_reliable_lossy(std::uint64_t div) {
   });
 }
 
-PhaseResult phase_buffer_pool(std::uint64_t div) {
-  return run_phase([div](PhaseResult& r) {
-    const std::uint64_t kIters = 1'000'000 / div;
-    std::uint64_t bytes = 0;
-    for (std::uint64_t i = 0; i < kIters; ++i) {
-      proto::PooledBuffer buf =
-          proto::BufferPool::local().acquire(proto::kPduReserveBytes);
-      buf->push_back(static_cast<std::uint8_t>(i & 0xFF));
-      bytes += buf->capacity();
+/// The MLB's routing lookup on fig 10's pool shape (30 VMs, 5 tokens each):
+/// the master (`owner`) and the R = 2 preference list into a reused scratch
+/// vector. Each op MD5-hashes its key twice, once per call.
+PhaseResult phase_ring_lookup(std::uint64_t div) {
+  hash::ConsistentHashRing ring(hash::ConsistentHashRing::Config{5});
+  for (hash::RingNodeId n = 1; n <= 30; ++n) ring.add_node(n);
+  std::vector<hash::RingNodeId> prefs;
+  prefs.reserve(2);
+  return run_phase([div, &ring, &prefs](PhaseResult& r) {
+    const std::uint64_t kIters = 400'000 / div;
+    std::uint64_t mismatches = 0;
+    for (std::uint64_t key = 0; key < kIters; ++key) {
+      const hash::RingNodeId master = ring.owner(key);
+      ring.preference_list(key, 2, prefs);
+      if (prefs.size() != 2 || prefs[0] != master) ++mismatches;
     }
-    r.ops = kIters;
-    r.bytes = bytes;
+    r.ops = mismatches == 0 ? kIters : 0;  // a mismatch poisons the report
   });
 }
 
@@ -636,10 +648,6 @@ int main(int argc, char** argv) {
                     "perf_core — engine/codec/fabric hot-path microbench");
   const std::uint64_t div = bm.quick() ? 10 : 1;
 
-  // Warm the per-thread pools once so the measured phases see steady state —
-  // the regime every long simulation runs in after its first few events.
-  { auto warm = phase_buffer_pool(div); (void)warm; }
-
   const NamedPhase phases[] = {
       {"engine_timer_ring", phase_engine_timer_ring(div)},
       {"engine_cancel_churn", phase_engine_cancel_churn(div)},
@@ -648,7 +656,7 @@ int main(int argc, char** argv) {
       {"codec_wire_size", phase_codec_wire_size(div)},
       {"fabric_hop", phase_fabric_hop(div)},
       {"reliable_lossy", phase_reliable_lossy(div)},
-      {"buffer_pool", phase_buffer_pool(div)},
+      {"ring_lookup", phase_ring_lookup(div)},
   };
 
   const CapacityOut cap = run_capacity(bm.quick());

@@ -14,9 +14,9 @@
 namespace scale {
 
 /// Seedable xoshiro256++ PRNG with the distributions the workloads need.
-/// Each logical stream (per device class, per scenario) should own its own
-/// Rng, forked from a parent via `fork()`, so adding a consumer never
-/// perturbs the draws seen by another.
+/// Each logical stream (per device class, per scenario) owns its own Rng,
+/// seeded from its component's config, so adding a consumer never perturbs
+/// the draws seen by another.
 class Rng {
  public:
   explicit Rng(std::uint64_t seed = 0x9E3779B97F4A7C15ull);
@@ -33,30 +33,11 @@ class Rng {
   /// Uniform double in [lo, hi).
   double uniform(double lo, double hi);
 
-  /// Uniform integer in [lo, hi] inclusive.
-  std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
-
   /// Bernoulli draw with probability p of true.
   bool chance(double p);
 
   /// Exponentially distributed with given rate (mean 1/rate). rate > 0.
   double exponential(double rate);
-
-  /// Poisson-distributed count with given mean (Knuth for small means,
-  /// normal approximation beyond 64 to stay O(1)).
-  std::uint64_t poisson(double mean);
-
-  /// Standard normal via Marsaglia polar method.
-  double normal(double mean = 0.0, double stddev = 1.0);
-
-  /// Zipf-distributed rank in [1, n] with exponent s (rejection sampler).
-  std::uint64_t zipf(std::uint64_t n, double s);
-
-  /// Pareto (Lomax)-distributed double with scale xm and shape alpha.
-  double pareto(double xm, double alpha);
-
-  /// Derive an independent child stream; deterministic given parent state.
-  Rng fork();
 
   /// Fisher–Yates shuffle.
   template <typename T>
@@ -74,8 +55,6 @@ class Rng {
 
  private:
   std::uint64_t s_[4];
-  bool has_spare_normal_ = false;
-  double spare_normal_ = 0.0;
 };
 
 }  // namespace scale

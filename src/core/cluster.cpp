@@ -12,15 +12,14 @@ using mme::UeContext;
 ScaleCluster::ScaleCluster(epc::Fabric& fabric, sim::NodeId sgw,
                            sim::NodeId hss, Config cfg)
     : fabric_(fabric), cfg_(cfg), sgw_(sgw), hss_(hss), rng_(cfg.seed),
-      ring_(hash::ConsistentHashRing::Config{cfg.ring_tokens, cfg.ring_md5}),
+      ring_(hash::ConsistentHashRing::Config{cfg.ring_tokens}),
       policy_(cfg.policy), provisioner_(cfg.provisioner),
       next_code_(cfg.first_vm_code) {
   Mlb::Config mlb_cfg = cfg_.mlb;
   mlb_cfg.mme_code = cfg_.mme_code;
   mlb_cfg.plmn = cfg_.plmn;
   mlb_cfg.mme_group = cfg_.mme_group;
-  mlb_cfg.steering.ring = hash::ConsistentHashRing::Config{cfg_.ring_tokens,
-                                                           cfg_.ring_md5};
+  mlb_cfg.steering.ring = hash::ConsistentHashRing::Config{cfg_.ring_tokens};
   mlb_cfg.steering.choices = std::max(1u, policy_.local_copies);
   const auto mlb_count = std::max<std::size_t>(1, cfg_.initial_mlbs);
   for (std::size_t i = 0; i < mlb_count; ++i) {
@@ -84,7 +83,6 @@ MmpNode& ScaleCluster::add_mmp() {
   vm_cfg.base.app.home_dc = cfg_.home_dc;
   vm_cfg.offload_threshold = cfg_.mmp_offload_threshold;
   vm_cfg.shed_backlog = cfg_.mmp_shed_backlog;
-  vm_cfg.shed_backoff = cfg_.mmp_shed_backoff;
   vm_cfg.governor = cfg_.mmp_governor;
   vm_cfg.seed = rng_.next_u64();
 

@@ -42,14 +42,12 @@ class ScaleCluster {
     /// Overload shedding for every MMP VM (see MmpNode::Config). zero()
     /// keeps the seed behaviour (no shedding).
     Duration mmp_shed_backlog = Duration::zero();
-    Duration mmp_shed_backoff = Duration::ms(200.0);
     /// Graduated admission control for every MMP VM (OverloadGovernor;
     /// disabled by default). Edge backpressure is configured separately
     /// through mlb.enb_bucket_rate.
     OverloadGovernor::Config mmp_governor;
 
     unsigned ring_tokens = 5;
-    bool ring_md5 = true;
 
     ReplicationPolicy policy;
     Provisioner::Config provisioner;

@@ -59,22 +59,23 @@ bool GeoManager::accept_external() {
 
 void GeoManager::release_external() { used_ = std::max(0.0, used_ - 1.0); }
 
-std::optional<GeoManager::PeerDc> GeoManager::choose_remote(Rng& rng) const {
+std::optional<GeoManager::PeerDc> GeoManager::choose_remote(Rng& rng) {
   if (peers_.empty()) return std::nullopt;
   if (cfg_.selection == Selection::kUniform) {
     // Baseline: fixed uniform spread, blind to budget and distance.
     return peers_[static_cast<std::size_t>(rng.next_below(peers_.size()))];
   }
-  std::vector<double> weights;
-  std::vector<const PeerDc*> eligible;
-  for (const auto& p : peers_) {
+  weights_.clear();
+  eligible_.clear();
+  for (std::size_t i = 0; i < peers_.size(); ++i) {
+    const PeerDc& p = peers_[i];
     if (p.known_available <= 0.0) continue;
     const double delay_sec = std::max(1e-6, p.propagation.to_sec());
-    eligible.push_back(&p);
-    weights.push_back(1.0 / delay_sec);
+    eligible_.push_back(i);
+    weights_.push_back(1.0 / delay_sec);
   }
-  if (eligible.empty()) return std::nullopt;
-  return *eligible[rng.weighted_index(weights)];
+  if (eligible_.empty()) return std::nullopt;
+  return peers_[eligible_[rng.weighted_index(weights_)]];
 }
 
 std::uint64_t GeoManager::per_vm_external_quota(std::size_t vm_count) const {

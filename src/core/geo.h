@@ -119,7 +119,9 @@ class GeoManager {
 
   // --- remote choice (§4.5.2 MMP-level (2)) ----------------------------
   /// Probabilistic pick among peers with known Ŝ > 0; nullopt if none.
-  std::optional<PeerDc> choose_remote(Rng& rng) const;
+  /// Refills member scratch vectors, so a pick allocates nothing once they
+  /// have grown to the peer count.
+  std::optional<PeerDc> choose_remote(Rng& rng);
 
   /// How many devices each of the V local MMPs may replicate externally
   /// this epoch (its share of Sm, conservation across DCs).
@@ -136,6 +138,9 @@ class GeoManager {
   NodeId local_mlb_;
   Config cfg_;
   std::vector<PeerDc> peers_;
+  /// choose_remote's scratch: indices into peers_ and their 1/D weights.
+  std::vector<std::size_t> eligible_;
+  std::vector<double> weights_;
   double budget_ = 0.0;
   double used_ = 0.0;
   bool gossiping_ = false;

@@ -107,15 +107,12 @@ void Mlb::handle_overload_reject(const proto::OverloadReject& rej) {
   // Re-steer to the best alternative, excluding the shedder when the
   // preference list offers one. no_offload marks the forward as final so the
   // replica can neither geo-offload nor shed it back (ping-pong guard).
-  const auto prefs =
-      ring_.preference_list(rej.guti.key(), width_);
-  std::vector<hash::RingNodeId> alternatives;
-  alternatives.reserve(prefs.size());
-  for (const hash::RingNodeId c : prefs)
-    if (c != rej.mmp_node) alternatives.push_back(c);
-  const NodeId target = alternatives.empty()
-                            ? rej.mmp_node
-                            : steer(rej.guti.key(), alternatives);
+  // prefs_ holds the alternatives (list order kept) until the last read
+  // below; nothing in between refills it.
+  ring_.preference_list(rej.guti.key(), width_, prefs_);
+  std::erase(prefs_, rej.mmp_node);
+  const NodeId target =
+      prefs_.empty() ? rej.mmp_node : steer(rej.guti.key(), prefs_);
   // Graduated sheds (level > 0) of deferrable work are dropped outright
   // when the re-steer would be futile: every candidate is already backing
   // off, or even the least-loaded target reports kDropLoadLimit — i.e. it
@@ -125,7 +122,7 @@ void Mlb::handle_overload_reject(const proto::OverloadReject& rej) {
   // at the kOverload band (the whole ladder above it already fired), and
   // binary sheds (level 0) keep the PR 1 always-re-steer behaviour.
   bool all_backed_off = true;
-  for (const hash::RingNodeId c : alternatives)
+  for (const hash::RingNodeId c : prefs_)
     if (!view_.in_backoff(c, now)) all_backed_off = false;
   const auto ptype = static_cast<proto::ProcedureType>(rej.procedure);
   const bool deferrable =
@@ -251,8 +248,8 @@ void Mlb::route_geo_reject(const proto::GeoReject& rej) {
   }
   // The remote DC could not serve it: process locally, without offloading
   // again (loop guard).
-  const auto prefs = ring_.preference_list(rej.guti.key(), width_);
-  forward(steer(rej.guti.key(), prefs), rej.origin, rej.guti,
+  ring_.preference_list(rej.guti.key(), width_, prefs_);
+  forward(steer(rej.guti.key(), prefs_), rej.origin, rej.guti,
           rej.inner->value,
           /*no_offload=*/true);
 }

@@ -157,7 +157,8 @@ class Mlb : public Endpoint {
   sim::CpuModel cpu_;
   sim::UtilizationTracker util_;
   hash::ConsistentHashRing ring_;
-  /// route_initial's preference-list scratch (reused per Initial UE message).
+  /// Preference-list scratch, refilled by every routing call (Initial UE
+  /// message, overload re-steer, geo reject) instead of a fresh vector.
   std::vector<hash::RingNodeId> prefs_;
   std::uint64_t ring_version_ = 0;
   std::unordered_map<std::uint8_t, NodeId> code_to_node_;

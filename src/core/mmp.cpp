@@ -13,6 +13,11 @@ using mme::UeContext;
 
 namespace {
 
+/// Steer-away hint stamped into every OverloadReject, by the governor and
+/// by the binary shed_backlog rule alike: the MLB keeps the shedder out of
+/// its steering choices for this long.
+constexpr Duration kShedBackoff = Duration::ms(200.0);
+
 /// Procedure type of an Initial UE message, for priority-ordered shedding.
 proto::ProcedureType initial_procedure(const proto::NasMessage& nas) {
   if (std::holds_alternative<proto::NasAttachRequest>(nas))
@@ -46,9 +51,9 @@ MmpNode::MmpNode(epc::Fabric& fabric, Config cfg)
   if (governor_.enabled()) {
     // Reassess pressure on every utilization sample, independent of traffic
     // — levels decay back to Nominal even when no new requests arrive.
-    util_.set_sample_hook([this](Time now, double util) {
-      (void)util;  // governor reads the EWMA through pressure_signals()
-      governor_.assess(now, pressure_signals());
+    util_.set_sample_hook([this](Time, double) {
+      // The governor reads the EWMA through pressure_signals().
+      governor_.assess(pressure_signals());
     });
   }
 }
@@ -187,7 +192,7 @@ void MmpNode::handle_forward(NodeId from, const proto::ClusterForward& fwd) {
       PressureLevel level = PressureLevel::kNominal;
       if (governed) {
         const OverloadGovernor::Decision d =
-            governor_.admit(fabric_.engine().now(), pressure_signals(), ptype);
+            governor_.admit(pressure_signals(), ptype);
         shed = !d.admit;
         level = d.level;
       } else {
@@ -211,9 +216,7 @@ void MmpNode::handle_forward(NodeId from, const proto::ClusterForward& fwd) {
         rej.mmp_node = node();
         rej.origin = fwd.origin;
         rej.guti = fwd.guti;
-        rej.backoff_us = static_cast<std::uint64_t>(
-            (governed ? governor_.config().backoff : mmp_cfg_.shed_backoff)
-                .count_us());
+        rej.backoff_us = static_cast<std::uint64_t>(kShedBackoff.count_us());
         rej.procedure = static_cast<std::uint8_t>(ptype);
         rej.level = static_cast<std::uint8_t>(level);
         rej.inner = fwd.inner;

@@ -37,11 +37,10 @@ class MmpNode final : public mme::ClusterVm {
     Duration offload_backlog = Duration::ms(40.0);
     /// Overload protection: an Initial request arriving while queued work
     /// exceeds shed_backlog is rejected back to the MLB (OverloadReject
-    /// carrying the request + a shed_backoff steer-away hint) instead of
-    /// joining a queue it would time out in. zero() disables shedding — the
-    /// seed behaviour of unbounded silent queue growth.
+    /// carrying the request + a 200 ms steer-away hint) instead of joining
+    /// a queue it would time out in. zero() disables shedding — the seed
+    /// behaviour of unbounded silent queue growth.
     Duration shed_backlog = Duration::zero();
-    Duration shed_backoff = Duration::ms(200.0);
     /// Graduated admission control (OverloadGovernor). Disabled by default;
     /// when enabled it supersedes the binary shed_backlog rule above with
     /// watermark pressure bands and priority-ordered shedding.

@@ -54,17 +54,9 @@ class Md5 {
 /// Hash a 64-bit key (e.g. a GUTI's M-TMSI) to a ring position via MD5.
 std::uint64_t md5_u64(std::uint64_t key);
 
-/// FNV-1a 64-bit — cheap non-cryptographic alternative used where hashing
-/// is on the simulator's hot path and MD5 fidelity is not required.
-constexpr std::uint64_t fnv1a(std::string_view s) {
-  std::uint64_t h = 0xCBF29CE484222325ull;
-  for (char c : s) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 0x100000001B3ull;
-  }
-  return h;
-}
-
+/// FNV-1a 64-bit over a key's 8 little-endian bytes — a cheap
+/// non-cryptographic mix for seeded tie-breaks and derived values (steering,
+/// HSS vectors) where MD5 fidelity is not required. Ring placement is MD5.
 constexpr std::uint64_t fnv1a_u64(std::uint64_t key) {
   std::uint64_t h = 0xCBF29CE484222325ull;
   for (int i = 0; i < 8; ++i) {

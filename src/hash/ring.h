@@ -30,9 +30,6 @@ class ConsistentHashRing {
   struct Config {
     /// Virtual tokens per node; 1 = classic token-less consistent hashing.
     unsigned tokens_per_node = 5;
-    /// Use MD5 (paper-faithful) for token and key positions; false selects
-    /// FNV-1a for speed in very large simulations. Both are deterministic.
-    bool use_md5 = true;
   };
 
   ConsistentHashRing() : ConsistentHashRing(Config{}) {}
@@ -52,7 +49,8 @@ class ConsistentHashRing {
   std::vector<RingNodeId> nodes() const;
   const Config& config() const { return cfg_; }
 
-  /// Ring position of an arbitrary 64-bit key (e.g. a GUTI's M-TMSI).
+  /// Ring position of an arbitrary 64-bit key (e.g. a GUTI's M-TMSI): its
+  /// MD5 (md5_u64), as are token positions.
   std::uint64_t position_of_key(std::uint64_t key) const;
 
   /// Master node for a key: first token clockwise from the key's position.

@@ -24,7 +24,7 @@ class CodecError : public std::runtime_error {
 class ByteWriter {
  public:
   ByteWriter() = default;
-  /// Adopt existing storage (cleared, capacity kept) so pooled buffers can
+  /// Adopt existing storage (cleared, capacity kept) so a reused buffer can
   /// be encoded into without a fresh allocation; reclaim it with take().
   explicit ByteWriter(std::vector<std::uint8_t> storage)
       : out_(std::move(storage)) {

@@ -38,14 +38,6 @@ std::vector<std::uint8_t> encode_pdu(const Pdu& pdu) {
   return w.take();
 }
 
-PooledBuffer encode_pdu_pooled(const Pdu& pdu) {
-  PooledBuffer buf = BufferPool::local().acquire(kPduReserveBytes);
-  ByteWriter w(std::move(*buf));
-  encode_pdu_into(pdu, w);
-  *buf = w.take();
-  return buf;
-}
-
 Pdu decode_pdu(std::span<const std::uint8_t> bytes) {
   ByteReader r(bytes);
   const auto family = static_cast<PduFamily>(r.u8());

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "proto/buffer.h"
-#include "proto/buffer_pool.h"
 #include "proto/pdu.h"
 
 namespace scale::proto {
@@ -19,13 +18,9 @@ namespace scale::proto {
 std::vector<std::uint8_t> encode_pdu(const Pdu& pdu);
 [[nodiscard]] Pdu decode_pdu(std::span<const std::uint8_t> bytes);
 
-/// Encode into an existing writer (family tag + body); the primitive the
-/// allocating and pooled entry points share.
+/// Encode into an existing writer (family tag + body); the primitive that
+/// encode_pdu and wire_size share.
 void encode_pdu_into(const Pdu& pdu, ByteWriter& w);
-
-/// Encode into a buffer leased from BufferPool::local(): zero allocations in
-/// steady state. The handle recycles the storage when it goes out of scope.
-PooledBuffer encode_pdu_pooled(const Pdu& pdu);
 
 /// Encoded size in bytes: runs encode_pdu_into through a counting
 /// ByteWriter, so nothing is stored and nothing is allocated, and the size

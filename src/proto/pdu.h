@@ -5,7 +5,7 @@
 #include <memory>
 #include <variant>
 
-#include "proto/buffer_pool.h"
+#include "proto/box_alloc.h"
 #include "proto/cluster.h"
 #include "proto/s11.h"
 #include "proto/s1ap.h"
@@ -23,7 +23,7 @@ struct PduBox {
 
 inline PduRef box(Pdu pdu) {
   // allocate_shared with the free-list allocator: one recycled block carries
-  // both the control block and the PduBox (see buffer_pool.h).
+  // both the control block and the PduBox (see box_alloc.h).
   return std::allocate_shared<const PduBox>(BoxAlloc<const PduBox>{},
                                             PduBox{std::move(pdu)});
 }

@@ -80,51 +80,6 @@ bool OpenLoopDriver::fire_one() {
   return false;
 }
 
-// -------------------------------------------------------------- PeriodicDriver
-
-PeriodicDriver::PeriodicDriver(sim::Engine& engine, std::vector<Ue*> devices,
-                               Config cfg)
-    : engine_(engine), devices_(std::move(devices)), cfg_(cfg),
-      rng_(cfg.seed) {
-  SCALE_CHECK(!devices_.empty());
-  SCALE_CHECK(cfg_.mean_period > Duration::zero());
-}
-
-void PeriodicDriver::start(Time until) {
-  until_ = until;
-  running_ = true;
-  for (std::size_t i = 0; i < devices_.size(); ++i) {
-    // Random initial phase avoids a synchronized thundering herd (use
-    // MassAccessEvent to create one deliberately).
-    const Duration phase =
-        Duration::sec(rng_.uniform(0.0, cfg_.mean_period.to_sec()));
-    schedule_device(i, phase);
-  }
-}
-
-void PeriodicDriver::schedule_device(std::size_t idx, Duration delay) {
-  const Time next = engine_.now() + delay;
-  if (!running_ || next >= until_) return;
-  engine_.at(next, [this, idx]() { fire_device(idx); });
-}
-
-void PeriodicDriver::fire_device(std::size_t idx) {
-  if (!running_) return;
-  Ue& ue = *devices_[idx];
-  bool ok = false;
-  if (!ue.registered()) {
-    ok = ue.attach();
-  } else if (!ue.connected()) {
-    ok = ue.service_request();
-  }
-  if (ok) ++issued_;
-  const Duration next_gap =
-      cfg_.exponential
-          ? Duration::sec(rng_.exponential(1.0 / cfg_.mean_period.to_sec()))
-          : cfg_.mean_period;
-  schedule_device(idx, next_gap);
-}
-
 // ------------------------------------------------------------- MassAccessEvent
 
 MassAccessEvent::MassAccessEvent(sim::Engine& engine,

@@ -3,9 +3,6 @@
 //   OpenLoopDriver   — Poisson request stream over a device set with a
 //                      configurable procedure mix (the rate sweeps of
 //                      Figs. 2(a), 3(a) and the load experiments);
-//   PeriodicDriver   — per-device periodic activity (IoT smart-meter style:
-//                      "smart meters upload information to the cloud
-//                      periodically", §4.5);
 //   MassAccessEvent  — synchronous mass-access (§3: "multiple event-
 //                      triggered devices become active simultaneously").
 #pragma once
@@ -69,36 +66,6 @@ class OpenLoopDriver {
   Time until_ = Time::zero();
   bool running_ = false;
   std::uint64_t arrivals_ = 0;
-  std::uint64_t issued_ = 0;
-};
-
-/// Each device wakes every ~period (exponential jitter), issues a service
-/// request (or attach when deregistered), and relies on the network's
-/// inactivity release to go back to Idle.
-class PeriodicDriver {
- public:
-  struct Config {
-    Duration mean_period = Duration::sec(60.0);
-    bool exponential = true;  ///< false = fixed period with phase jitter
-    std::uint64_t seed = 13;
-  };
-
-  PeriodicDriver(sim::Engine& engine, std::vector<Ue*> devices, Config cfg);
-
-  void start(Time until);
-  void stop() { running_ = false; }
-  std::uint64_t issued() const { return issued_; }
-
- private:
-  void schedule_device(std::size_t idx, Duration delay);
-  void fire_device(std::size_t idx);
-
-  sim::Engine& engine_;
-  std::vector<Ue*> devices_;
-  Config cfg_;
-  Rng rng_;
-  Time until_ = Time::zero();
-  bool running_ = false;
   std::uint64_t issued_ = 0;
 };
 

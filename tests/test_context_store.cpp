@@ -254,7 +254,7 @@ TEST(ContextStoreChurn, HundredThousandContextsStayConsistent) {
     rec.guti = proto::Guti{1, 1, 1, next_tmsi++};
     rec.imsi = next_imsi++;
     rec.state_bytes =
-        static_cast<std::uint32_t>(rng.uniform_int(512, 4096));
+        512 + static_cast<std::uint32_t>(rng.next_below(4096 - 512 + 1));
     const ContextRole role = role_of(rng.next_below(3));
     std::uint32_t teid_raw = 0;
     if (rng.chance(0.5)) {

@@ -107,12 +107,12 @@ TEST(Determinism, Md5RingPlacementStable) {
   // key-packing too).
   const proto::Guti g{310, 17, 3, 0xBEEF01};
   EXPECT_EQ(hash::md5_u64(g.key()), hash::md5_u64(g.key()));
-  hash::ConsistentHashRing ring(hash::ConsistentHashRing::Config{5, true});
+  hash::ConsistentHashRing ring(hash::ConsistentHashRing::Config{5});
   for (hash::RingNodeId n = 1; n <= 10; ++n) ring.add_node(n);
   EXPECT_EQ(ring.owner(g.key()), ring.owner(g.key()));
   // Placement is insensitive to unrelated process state.
   const auto first = ring.preference_list(g.key(), 3);
-  hash::ConsistentHashRing ring2(hash::ConsistentHashRing::Config{5, true});
+  hash::ConsistentHashRing ring2(hash::ConsistentHashRing::Config{5});
   for (hash::RingNodeId n = 10; n >= 1; --n) ring2.add_node(n);
   EXPECT_EQ(ring2.preference_list(g.key(), 3), first);
 }

@@ -80,9 +80,10 @@ TEST(Md5, KeyHashingIsDeterministicAndSpread) {
 }
 
 TEST(Fnv1a, KnownValues) {
-  // FNV-1a 64-bit of empty string is the offset basis.
-  EXPECT_EQ(fnv1a(""), 0xCBF29CE484222325ull);
-  EXPECT_EQ(fnv1a("a"), 0xAF63DC4C8601EC8Cull);
+  // FNV-1a 64-bit over the key's 8 little-endian bytes.
+  EXPECT_EQ(fnv1a_u64(0), 0xA8C7F832281A39C5ull);
+  EXPECT_EQ(fnv1a_u64(42), 0xFF3ADD6B3789DAEFull);
+  EXPECT_EQ(fnv1a_u64(0x0706050403020100ull), 0xA4DC49E2B28ECB7Dull);
 }
 
 TEST(Fnv1a, U64Deterministic) {

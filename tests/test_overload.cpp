@@ -10,6 +10,8 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <variant>
+#include <vector>
 
 #include "core/cluster.h"
 #include "core/overload.h"
@@ -46,61 +48,58 @@ PressureSignals backlog_ms(double ms) {
 
 TEST(OverloadGovernor, WatermarkHysteresisDoesNotFlap) {
   OverloadGovernor g(governor_cfg());
-  const Time t = Time::zero();
 
-  ASSERT_EQ(g.assess(t, backlog_ms(40.0)), PressureLevel::kNominal);
-  ASSERT_EQ(g.assess(t, backlog_ms(60.0)), PressureLevel::kElevated);
+  ASSERT_EQ(g.assess(backlog_ms(40.0)), PressureLevel::kNominal);
+  ASSERT_EQ(g.assess(backlog_ms(60.0)), PressureLevel::kElevated);
   EXPECT_EQ(g.level_changes(), 1u);
 
   // Oscillation around the low watermark (0.5) stays inside the hysteresis
   // band [0.3, 0.5): the level must latch, not flap.
   for (int i = 0; i < 10; ++i) {
-    EXPECT_EQ(g.assess(t, backlog_ms(45.0)), PressureLevel::kElevated);
-    EXPECT_EQ(g.assess(t, backlog_ms(55.0)), PressureLevel::kElevated);
+    EXPECT_EQ(g.assess(backlog_ms(45.0)), PressureLevel::kElevated);
+    EXPECT_EQ(g.assess(backlog_ms(55.0)), PressureLevel::kElevated);
   }
   EXPECT_EQ(g.level_changes(), 1u);
 
   // Clearing the watermark by the hysteresis margin releases the band.
-  EXPECT_EQ(g.assess(t, backlog_ms(25.0)), PressureLevel::kNominal);
+  EXPECT_EQ(g.assess(backlog_ms(25.0)), PressureLevel::kNominal);
   EXPECT_EQ(g.level_changes(), 2u);
 }
 
 TEST(OverloadGovernor, AscendsImmediatelyDescendsBandByBand) {
   OverloadGovernor g(governor_cfg());
-  const Time t = Time::zero();
 
   // A surge jumps straight to kOverload — protection must not lag.
-  EXPECT_EQ(g.assess(t, backlog_ms(160.0)), PressureLevel::kOverload);
+  EXPECT_EQ(g.assess(backlog_ms(160.0)), PressureLevel::kOverload);
 
   // 0.85 clears the overload watermark (1.5 − 0.2) but not the high one
   // (1.0 − 0.2): descent stops at kHigh.
-  EXPECT_EQ(g.assess(t, backlog_ms(85.0)), PressureLevel::kHigh);
-  EXPECT_EQ(g.assess(t, backlog_ms(75.0)), PressureLevel::kElevated);
-  EXPECT_EQ(g.assess(t, backlog_ms(20.0)), PressureLevel::kNominal);
+  EXPECT_EQ(g.assess(backlog_ms(85.0)), PressureLevel::kHigh);
+  EXPECT_EQ(g.assess(backlog_ms(75.0)), PressureLevel::kElevated);
+  EXPECT_EQ(g.assess(backlog_ms(20.0)), PressureLevel::kNominal);
 }
 
 TEST(OverloadGovernor, ShedsInPriorityOrderAcrossBands) {
   OverloadGovernor g(governor_cfg());
-  const Time t = Time::zero();
 
   // kElevated: only TAU is shed.
-  auto d = g.admit(t, backlog_ms(60.0), ProcedureType::kTrackingAreaUpdate);
+  auto d = g.admit(backlog_ms(60.0), ProcedureType::kTrackingAreaUpdate);
   EXPECT_FALSE(d.admit);
   EXPECT_EQ(d.level, PressureLevel::kElevated);
-  EXPECT_TRUE(g.admit(t, backlog_ms(60.0), ProcedureType::kServiceRequest)
+  EXPECT_TRUE(g.admit(backlog_ms(60.0), ProcedureType::kServiceRequest)
                   .admit);
-  EXPECT_TRUE(g.admit(t, backlog_ms(60.0), ProcedureType::kAttach).admit);
+  EXPECT_TRUE(g.admit(backlog_ms(60.0), ProcedureType::kAttach).admit);
 
   // kHigh: Service Request and Handover join; Attach still admitted.
-  EXPECT_FALSE(g.admit(t, backlog_ms(110.0), ProcedureType::kServiceRequest)
+  EXPECT_FALSE(g.admit(backlog_ms(110.0), ProcedureType::kServiceRequest)
                    .admit);
-  EXPECT_FALSE(g.admit(t, backlog_ms(110.0), ProcedureType::kHandover)
+  EXPECT_FALSE(g.admit(backlog_ms(110.0), ProcedureType::kHandover)
                    .admit);
-  EXPECT_TRUE(g.admit(t, backlog_ms(110.0), ProcedureType::kAttach).admit);
+  EXPECT_TRUE(g.admit(backlog_ms(110.0), ProcedureType::kAttach).admit);
 
   // kOverload: Attach sheds last; Detach never (it frees state).
-  EXPECT_FALSE(g.admit(t, backlog_ms(160.0), ProcedureType::kAttach).admit);
-  EXPECT_TRUE(g.admit(t, backlog_ms(160.0), ProcedureType::kDetach).admit);
+  EXPECT_FALSE(g.admit(backlog_ms(160.0), ProcedureType::kAttach).admit);
+  EXPECT_TRUE(g.admit(backlog_ms(160.0), ProcedureType::kDetach).admit);
 
   EXPECT_EQ(g.shed_of(ProcedureType::kTrackingAreaUpdate), 1u);
   EXPECT_EQ(g.shed_of(ProcedureType::kServiceRequest), 1u);
@@ -128,40 +127,14 @@ TEST(OverloadGovernor, PagingDeferStretchesWithLevelAndCaps) {
   cfg.paging_defer_unit = Duration::ms(100.0);
   cfg.max_paging_defer = Duration::ms(300.0);
   OverloadGovernor g(cfg);
-  const Time t = Time::zero();
 
   EXPECT_EQ(g.paging_defer(), Duration::zero());
-  g.assess(t, backlog_ms(60.0));
+  g.assess(backlog_ms(60.0));
   EXPECT_EQ(g.paging_defer(), Duration::ms(100.0));
-  g.assess(t, backlog_ms(110.0));
+  g.assess(backlog_ms(110.0));
   EXPECT_EQ(g.paging_defer(), Duration::ms(200.0));
-  g.assess(t, backlog_ms(160.0));  // 100 * 2^2 = 400, capped at 300
+  g.assess(backlog_ms(160.0));  // 100 * 2^2 = 400, capped at 300
   EXPECT_EQ(g.paging_defer(), Duration::ms(300.0));
-}
-
-TEST(OverloadGovernor, AdaptiveConcurrencyProbesUpAndBacksOff) {
-  auto cfg = governor_cfg();
-  cfg.adaptive_concurrency = true;
-  cfg.ac_initial_limit = 64.0;
-  cfg.ac_step = 8.0;
-  cfg.ac_decrease = 0.5;
-  cfg.ac_interval = Duration::ms(100.0);
-  cfg.ac_backlog_target = Duration::ms(20.0);
-  OverloadGovernor g(cfg);
-
-  // Near the limit with latency under the knee: additive probe upward.
-  PressureSignals busy;
-  busy.in_flight = 60;  // >= 0.8 * 64
-  g.assess(Time::zero(), busy);
-  EXPECT_DOUBLE_EQ(g.concurrency_limit(), 72.0);
-
-  // Within the same interval no further step is taken.
-  g.assess(Time::from_sec(0.05), busy);
-  EXPECT_DOUBLE_EQ(g.concurrency_limit(), 72.0);
-
-  // Past the knee: multiplicative decrease.
-  g.assess(Time::from_sec(0.2), backlog_ms(30.0));
-  EXPECT_DOUBLE_EQ(g.concurrency_limit(), 36.0);
 }
 
 TEST(OverloadGovernor, DisabledByDefault) {
@@ -259,6 +232,64 @@ TEST(OverloadIntegration, GovernedClusterShedsDeferrableNeverAttach) {
   w.tb.run_for(Duration::sec(5.0));
   for (const auto& mmp : w.cluster->mmps())
     EXPECT_EQ(mmp->governor().level(), PressureLevel::kNominal);
+}
+
+/// Stands in for the MLB behind one MMP and keeps every OverloadReject.
+struct RejectProbe final : epc::Endpoint {
+  std::vector<proto::OverloadReject> rejects;
+  void receive(sim::NodeId, const proto::Pdu& pdu) override {
+    if (const auto* c = std::get_if<proto::ClusterMessage>(&pdu))
+      if (const auto* r = std::get_if<proto::OverloadReject>(c))
+        rejects.push_back(*r);
+  }
+};
+
+// The binary backlog rule and the governor shed through the same reject,
+// with the same 200 ms steer-away hint for the MLB.
+TEST(OverloadIntegration, BothShedModesStampA200msBackoff) {
+  for (const bool governed : {false, true}) {
+    SCOPED_TRACE(governed ? "governor" : "shed_backlog");
+    core::ScaleCluster::Config cfg;
+    cfg.initial_mmps = 1;
+    cfg.vm_template.cpu_speed = 0.05;
+    if (governed) {
+      cfg.mmp_governor = governor_cfg();
+      cfg.mmp_governor.backlog_ref = Duration::ms(5.0);  // attach sheds too
+    } else {
+      cfg.mmp_shed_backlog = Duration::ms(5.0);
+    }
+    GovernedWorld w(cfg);
+    core::MmpNode& mmp = *w.cluster->mmps().front();
+    RejectProbe probe;
+    const sim::NodeId lb = w.tb.fabric().add_endpoint(&probe);
+    mmp.attach_lb(lb);
+
+    // A burst of forwarded attaches lands at once: the first ones queue
+    // work, the rest find the backlog over the threshold and are shed.
+    for (std::uint32_t i = 1; i <= 40; ++i) {
+      proto::NasAttachRequest nas;
+      nas.imsi = 100'000 + i;
+      proto::ClusterForward fwd;
+      fwd.origin = w.site->enb(0).node();
+      fwd.guti = proto::Guti{1, 1, 1, i};
+      fwd.inner = proto::box(proto::make_pdu(
+          proto::InitialUeMessage{1, i, 1, proto::NasMessage{nas}}));
+      w.tb.fabric().send(lb, mmp.node(),
+                         proto::pdu_of(proto::ClusterMessage{fwd}));
+    }
+    w.tb.run_for(Duration::ms(50.0));
+
+    ASSERT_FALSE(probe.rejects.empty());
+    EXPECT_EQ(probe.rejects.size(), mmp.overload_sheds());
+    for (const proto::OverloadReject& rej : probe.rejects) {
+      EXPECT_EQ(rej.backoff_us, 200'000u);
+      EXPECT_EQ(rej.mmp_node, mmp.node());
+      EXPECT_EQ(rej.level, governed ? static_cast<std::uint8_t>(
+                                          PressureLevel::kOverload)
+                                    : 0u);
+    }
+    w.tb.fabric().remove_endpoint(lb);
+  }
 }
 
 TEST(OverloadIntegration, PagingDeferClampedToTransportRetryHorizon) {

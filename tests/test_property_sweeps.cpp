@@ -70,7 +70,7 @@ class RingReplicaSweep
 TEST_P(RingReplicaSweep, PreferenceListStableUnderUnrelatedChurn) {
   const auto [tokens, R] = GetParam();
   hash::ConsistentHashRing ring(
-      hash::ConsistentHashRing::Config{tokens, true});
+      hash::ConsistentHashRing::Config{tokens});
   for (hash::RingNodeId n = 1; n <= 12; ++n) ring.add_node(n);
 
   std::vector<std::vector<hash::RingNodeId>> before;

@@ -2,17 +2,19 @@
 
 #include "common/check.h"
 
+#include <algorithm>
 #include <map>
 #include <set>
 #include <vector>
 
+#include "hash/md5.h"
 #include "hash/ring.h"
 
 namespace scale::hash {
 namespace {
 
 ConsistentHashRing make_ring(unsigned tokens, std::initializer_list<RingNodeId> nodes) {
-  ConsistentHashRing ring(ConsistentHashRing::Config{tokens, true});
+  ConsistentHashRing ring(ConsistentHashRing::Config{tokens});
   for (RingNodeId n : nodes) ring.add_node(n);
   return ring;
 }
@@ -135,7 +137,7 @@ TEST(Ring, TokensImproveBalanceOverTokenless) {
   // Fig. 10(a)'s "basic consistent hashing" baseline: 1 token per node
   // yields much worse balance than 5+ tokens.
   auto balance_spread = [](unsigned tokens) {
-    ConsistentHashRing ring(ConsistentHashRing::Config{tokens, true});
+    ConsistentHashRing ring(ConsistentHashRing::Config{tokens});
     for (RingNodeId n = 1; n <= 10; ++n) ring.add_node(n);
     std::map<RingNodeId, std::size_t> counts;
     for (std::uint64_t key = 0; key < 40000; ++key) ++counts[ring.owner(key)];
@@ -168,12 +170,25 @@ TEST(Ring, OwnershipFractionMatchesEmpiricalShare) {
   }
 }
 
-TEST(Ring, FnvModeWorks) {
-  ConsistentHashRing ring(ConsistentHashRing::Config{5, false});
-  ring.add_node(1);
-  ring.add_node(2);
-  EXPECT_NO_THROW(ring.owner(42));
-  EXPECT_EQ(ring.preference_list(42, 2).size(), 2u);
+// Placement is the paper's MD5 (§4.3, §5): a key's ring position is its
+// md5_u64, and its owner is the first token at or after that position.
+TEST(Ring, KeyPositionIsMd5) {
+  const auto ring = make_ring(5, {1, 2, 3, 4});
+  for (std::uint64_t key = 0; key < 200; ++key) {
+    const std::uint64_t pos = md5_u64(key);
+    ASSERT_EQ(ring.position_of_key(key), pos) << "key " << key;
+    const auto& tokens = ring.tokens();
+    const auto it = std::lower_bound(
+        tokens.begin(), tokens.end(), pos,
+        [](const auto& t, std::uint64_t p) { return t.first < p; });
+    const RingNodeId want =
+        it == tokens.end() ? tokens.front().second : it->second;
+    EXPECT_EQ(ring.owner(key), want) << "key " << key;
+  }
+  // Fixed anchors: the first 8 bytes (little-endian) of the MD5 of each
+  // key's 8 little-endian bytes, taken from an independent MD5.
+  EXPECT_EQ(ring.position_of_key(0), 0x008EAC3F2B36EA7Dull);
+  EXPECT_EQ(ring.position_of_key(42), 0x6D6E095844C3BDE8ull);
 }
 
 class RingTokenSweep : public ::testing::TestWithParam<unsigned> {};
@@ -182,7 +197,7 @@ class RingTokenSweep : public ::testing::TestWithParam<unsigned> {};
 // prefixes of ring order and owners are stable across rebuilds.
 TEST_P(RingTokenSweep, PreferenceListInvariants) {
   const unsigned tokens = GetParam();
-  ConsistentHashRing ring(ConsistentHashRing::Config{tokens, true});
+  ConsistentHashRing ring(ConsistentHashRing::Config{tokens});
   for (RingNodeId n = 1; n <= 8; ++n) ring.add_node(n);
   for (std::uint64_t key = 1; key < 400; key += 7) {
     const auto prefs = ring.preference_list(key, 4);

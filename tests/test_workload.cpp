@@ -89,20 +89,6 @@ TEST(OpenLoopDriver, HandoverMixRequiresTargets) {
   EXPECT_TRUE(w.tb.delays().has("handover"));
 }
 
-TEST(PeriodicDriver, EachDeviceReportsRoughlyPerPeriod) {
-  World w;
-  auto ues = w.tb.make_ues(*w.site, 20, {0.5});
-  w.tb.register_all(*w.site, Duration::sec(2.0), Duration::sec(8.0));
-
-  workload::PeriodicDriver::Config cfg;
-  cfg.mean_period = Duration::sec(10.0);
-  workload::PeriodicDriver driver(w.tb.engine(), ues, cfg);
-  driver.start(w.tb.engine().now() + Duration::sec(40.0));
-  w.tb.run_for(Duration::sec(45.0));
-  // 20 devices * 40 s / 10 s ≈ 80 wake-ups.
-  EXPECT_NEAR(static_cast<double>(driver.issued()), 80.0, 35.0);
-}
-
 TEST(MassAccessEvent, TriggersBurstWithinSpread) {
   World w;
   auto ues = w.tb.make_ues(*w.site, 100, {0.5});
