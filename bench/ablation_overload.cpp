@@ -67,14 +67,11 @@ Point run(int mode, std::size_t burst) {
     cfg.mmp_governor.hysteresis = 0.05;
     cfg.mmp_governor.inflight_ref = 2048;
     cfg.mlb.enb_bucket_rate = 120.0;
-    cfg.mlb.enb_bucket_burst = 40.0;
   }
+  // OverloadStart windows pace each eNB at ~125 initials/s
+  // (EnodeB::kOverloadPace; two eNBs ≈ the pool's mixed-procedure
+  // capacity), so the herd arrives smoothed.
   bench::ScaleWorld w(cfg, /*enbs=*/2);
-  if (mode == 2) {
-    // Pace OverloadStart windows at ~125 initials/s per eNB (two eNBs ≈
-    // the pool's mixed-procedure capacity) so the herd arrives smoothed.
-    for (auto& enb : w.site->enbs) enb->set_overload_pace(Duration::ms(8.0));
-  }
 
   const auto registered = w.tb.make_ues(*w.site, 1500, {0.8});
   w.tb.register_all(*w.site, Duration::sec(30.0), Duration::sec(6.0));

@@ -159,8 +159,6 @@ std::vector<double> s2_run(S2Mode mode, std::uint64_t seed, bool quick,
     clusters.push_back(std::make_unique<core::ScaleCluster>(
         tb.fabric(), sites[dc]->sgw->node(), tb.hss().node(), cfg));
     clusters[dc]->connect_enb(*sites[dc]->enbs[0]);
-    tb.assign_dc(clusters[dc]->mlb().node(), dc);
-    for (auto& mmp : clusters[dc]->mmps()) tb.assign_dc(mmp->node(), dc);
   }
   if (mode != S2Mode::kInd) {
     for (std::uint32_t a = 0; a < kDcs; ++a)

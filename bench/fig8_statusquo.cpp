@@ -192,8 +192,6 @@ double geo_run(GeoMode mode, double dc1_load_factor, std::uint64_t seed) {
       clusters.push_back(std::make_unique<core::ScaleCluster>(
           tb.fabric(), sites[dc]->sgw->node(), tb.hss().node(), cfg));
       clusters[dc]->connect_enb(*sites[dc]->enbs[0]);
-      tb.assign_dc(clusters[dc]->mlb().node(), dc);
-      for (auto& mmp : clusters[dc]->mmps()) tb.assign_dc(mmp->node(), dc);
     }
     if (mode == GeoMode::kScale) {
       for (std::uint32_t a = 0; a < kDcs; ++a)

@@ -14,6 +14,10 @@
 // reliable_lossy runs the ReliableChannel shim over faulty links and gates
 // its steady state at zero allocations per send.
 //
+// Every phase runs on its own short-lived thread, so it starts with empty
+// thread_local recycling caches (BoxAlloc, InlineAction) and its allocation
+// row does not depend on which phases ran before it.
+//
 // The fig10_1m_capacity section is the MillionUE gate (ROADMAP item 2): a
 // full ScaleCluster holding 10⁶ UE contexts (fig 10's world at the paper's
 // original scale), measuring load rate, resident bytes per UE against the
@@ -30,6 +34,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <new>
+#include <thread>
 #include <unordered_map>
 #include <variant>
 #include <vector>
@@ -47,8 +52,8 @@
 
 // ------------------------------------------------------------------------
 // Counting allocator interposer: every global new/delete in this binary is
-// tallied. Relaxed atomics keep it valid even if a future bench goes
-// multi-threaded; in today's single-threaded runs they cost nothing.
+// tallied. Relaxed atomics keep it valid across the phase threads; only one
+// phase runs at a time, so each phase's delta is its own.
 namespace {
 std::atomic<std::uint64_t> g_alloc_calls{0};
 std::atomic<std::uint64_t> g_alloc_bytes{0};
@@ -128,6 +133,21 @@ PhaseResult run_phase(Fn&& body) {
   r.allocs = g_alloc_calls.load(std::memory_order_relaxed) - a0;
   r.alloc_bytes = g_alloc_bytes.load(std::memory_order_relaxed) - b0;
   return r;
+}
+
+/// Runs fn(args...) on a fresh thread, joined before returning: fn starts
+/// with empty thread_local caches and leaves nothing in them.
+template <typename Fn, typename... Args>
+PhaseResult on_own_thread(Fn&& fn, Args&&... args) {
+  PhaseResult result;
+  std::thread([&] { result = fn(args...); }).join();
+  return result;
+}
+
+/// The capacity phases share one world, but each runs on its own thread.
+template <typename Fn>
+PhaseResult run_phase_on_own_thread(Fn&& body) {
+  return on_own_thread([&] { return run_phase(body); });
 }
 
 // ---------------------------------------------------------------- workloads
@@ -538,7 +558,7 @@ CapacityOut run_capacity(bool quick) {
 
   // ---- load: 10⁶ master contexts through adopt() at their ring owner.
   CapacityRow load{"fig10_1m_load", {}, 0, 0.0};
-  load.r = run_phase([&](PhaseResult& r) {
+  load.r = run_phase_on_own_thread([&](PhaseResult& r) {
     for (std::uint64_t i = 0; i < kUes; ++i) {
       proto::UeContextRecord rec;
       rec.imsi = 100'000'000'000'000ull + i;
@@ -587,7 +607,7 @@ CapacityOut run_capacity(bool quick) {
 
   CapacityRow storm{"fig10_1m_storm", {}, 0, 0.0};
   const std::uint64_t ev0 = eng.events_processed();
-  storm.r = run_phase([&](PhaseResult& r) {
+  storm.r = run_phase_on_own_thread([&](PhaseResult& r) {
     eng.after(Duration::us(1), [&enb] { enb.send_one(); });
     // The horizon covers the storm plus inactivity releases + drain.
     eng.run_until(eng.now() + storm_span + Duration::sec(3.0));
@@ -613,7 +633,7 @@ CapacityOut run_capacity(bool quick) {
   // epoch_scan wᵢ EWMA, β(x), Eq. 1 re-decision (stays at 8 VMs), Eq. 3
   // probability scale, and geo selection.
   CapacityRow sweep{"fig10_1m_sweep", {}, 0, 0.0};
-  sweep.r = run_phase([&](PhaseResult& r) {
+  sweep.r = run_phase_on_own_thread([&](PhaseResult& r) {
     const auto report = cluster.run_epoch();
     eng.run_until(eng.now() + Duration::ms(500.0));
     if (report.registered != loaded || report.decision.vms != 8) {
@@ -648,15 +668,16 @@ int main(int argc, char** argv) {
                     "perf_core — engine/codec/fabric hot-path microbench");
   const std::uint64_t div = bm.quick() ? 10 : 1;
 
+  // Each phase, setup and warm-up included, on its own thread.
   const NamedPhase phases[] = {
-      {"engine_timer_ring", phase_engine_timer_ring(div)},
-      {"engine_cancel_churn", phase_engine_cancel_churn(div)},
-      {"codec_encode", phase_codec_encode(div)},
-      {"codec_decode", phase_codec_decode(div)},
-      {"codec_wire_size", phase_codec_wire_size(div)},
-      {"fabric_hop", phase_fabric_hop(div)},
-      {"reliable_lossy", phase_reliable_lossy(div)},
-      {"ring_lookup", phase_ring_lookup(div)},
+      {"engine_timer_ring", on_own_thread(phase_engine_timer_ring, div)},
+      {"engine_cancel_churn", on_own_thread(phase_engine_cancel_churn, div)},
+      {"codec_encode", on_own_thread(phase_codec_encode, div)},
+      {"codec_decode", on_own_thread(phase_codec_decode, div)},
+      {"codec_wire_size", on_own_thread(phase_codec_wire_size, div)},
+      {"fabric_hop", on_own_thread(phase_fabric_hop, div)},
+      {"reliable_lossy", on_own_thread(phase_reliable_lossy, div)},
+      {"ring_lookup", on_own_thread(phase_ring_lookup, div)},
   };
 
   const CapacityOut cap = run_capacity(bm.quick());

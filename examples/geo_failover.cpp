@@ -36,8 +36,6 @@ double run(bool geo_peering) {
     clusters.push_back(std::make_unique<core::ScaleCluster>(
         tb.fabric(), sites[dc]->sgw->node(), tb.hss().node(), cfg));
     clusters[dc]->connect_enb(*sites[dc]->enbs[0]);
-    tb.assign_dc(clusters[dc]->mlb().node(), dc);
-    for (auto& mmp : clusters[dc]->mmps()) tb.assign_dc(mmp->node(), dc);
   }
   tb.network().set_dc_latency(0, 1, kInterDc);
   if (geo_peering) {

@@ -9,6 +9,13 @@ namespace scale::core {
 using epc::ContextRole;
 using mme::UeContext;
 
+namespace {
+/// EWMA weight of the newest epoch in the per-device access frequency wᵢ.
+constexpr double kWiAlpha = 0.3;
+/// wᵢ ≥ this ⇒ candidate for external replication (§4.5.2).
+constexpr double kGeoWiThreshold = 0.5;
+}  // namespace
+
 ScaleCluster::ScaleCluster(epc::Fabric& fabric, sim::NodeId sgw,
                            sim::NodeId hss, Config cfg)
     : fabric_(fabric), cfg_(cfg), sgw_(sgw), hss_(hss), rng_(cfg.seed),
@@ -28,6 +35,7 @@ ScaleCluster::ScaleCluster(epc::Fabric& fabric, sim::NodeId sgw,
     Mlb::Config one = mlb_cfg;
     one.tmsi_base = static_cast<std::uint32_t>(1 + i * 50'000'000u);
     mlbs_.push_back(std::make_unique<Mlb>(fabric_, one));
+    fabric_.network().set_node_dc(mlbs_.back()->node(), cfg_.home_dc);
   }
 
   GeoManager::Config geo_cfg = cfg_.geo;
@@ -88,6 +96,8 @@ MmpNode& ScaleCluster::add_mmp() {
 
   auto vm = std::make_unique<MmpNode>(fabric_, vm_cfg);
   MmpNode& ref = *vm;
+  // Every VM sits in the cluster's DC, resize() additions included.
+  fabric_.network().set_node_dc(ref.node(), cfg_.home_dc);
   ref.set_ring(&ring_);
   ref.set_policy(&policy_);
   ref.set_geo(geo_.get());
@@ -219,7 +229,7 @@ void ScaleCluster::update_access_frequencies() {
       if (ctx.role == ContextRole::kMaster) {
         const double hit = hits > 0 ? 1.0 : 0.0;
         ctx.rec.access_freq =
-            cfg_.wi_alpha * hit + (1.0 - cfg_.wi_alpha) * ctx.rec.access_freq;
+            kWiAlpha * hit + (1.0 - kWiAlpha) * ctx.rec.access_freq;
       }
       hits = 0;
     });
@@ -227,9 +237,7 @@ void ScaleCluster::update_access_frequencies() {
 }
 
 double ScaleCluster::compute_beta(std::uint64_t registered) {
-  if (!policy_.access_aware || policy_.low_access_threshold <= 0.0 ||
-      registered == 0)
-    return 1.0;
+  if (policy_.low_access_threshold <= 0.0 || registered == 0) return 1.0;
   std::uint64_t k_hat = 0;
   // Dense scan: a pure count, so slot order is immaterial.
   for (const auto& vm : mmps_) {
@@ -274,7 +282,7 @@ std::size_t ScaleCluster::run_geo_selection() {
     double total_w = 0.0;
     vm->app().store().for_each([&](UeContext& ctx) {
       if (ctx.role != ContextRole::kMaster) return;
-      if (ctx.rec.access_freq < geo_->config().geo_wi_threshold) return;
+      if (ctx.rec.access_freq < kGeoWiThreshold) return;
       // Re-select devices whose external replica sits at a DC that stopped
       // accepting work (persistent overload there): their replica is
       // useless until that DC recovers.
@@ -333,7 +341,7 @@ ScaleCluster::EpochReport ScaleCluster::run_epoch() {
                     static_cast<double>(cfg_.provisioner.devices_per_vm);
   geo_->set_budget(geo_->peers().empty() ? 0.0 : sm);
 
-  if (policy_.access_aware && report.registered > 0) {
+  if (report.registered > 0) {
     const double capacity = static_cast<double>(mmps_.size()) *
                             static_cast<double>(cfg_.provisioner.devices_per_vm);
     const double s_new = cfg_.new_device_reserve *

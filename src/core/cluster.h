@@ -55,12 +55,11 @@ class ScaleCluster {
 
     Duration epoch = Duration::sec(60.0);
     bool auto_epochs = false;
-    /// EWMA weight for the per-device access-frequency estimate.
-    double wi_alpha = 0.3;
     /// S_n: fraction of K reserved for devices expected to register next
     /// epoch (§4.5.1, "e.g. 5% of K").
     double new_device_reserve = 0.05;
 
+    /// DC of every MLB and MMP the cluster creates, resize() included.
     std::uint32_t home_dc = 0;
     std::size_t initial_mmps = 2;
     /// MLB VMs fronting the pool (Figure 4 shows several; eNodeBs spread

@@ -14,6 +14,14 @@ namespace {
 constexpr double kDropLoadLimit = 3.0;
 /// Edge backpressure engages when any reported load reaches this.
 constexpr double kPressureLoadLimit = 2.0;
+/// Depth of each eNB's edge-backpressure token bucket, in initials.
+constexpr double kEnbBucketBurst = 40.0;
+/// Pacing window an OverloadStart asks the eNB to hold.
+constexpr Duration kEnbBackoffWindow = Duration::ms(250.0);
+/// CPU time to route an Initial UE message (MD5 ring lookup, load view).
+constexpr Duration kInitialRouteCost = Duration::us(35);
+/// CPU time to relay any other message to or from an MMP.
+constexpr Duration kRelayCost = Duration::us(20);
 }  // namespace
 
 Mlb::Mlb(Fabric& fabric, Config cfg)
@@ -168,18 +176,18 @@ void Mlb::maybe_backpressure(NodeId from) {
   const Time now = fabric_.engine().now();
   if (!under_pressure(now)) return;
   auto [it, inserted] = enb_buckets_.try_emplace(
-      from, cfg_.enb_bucket_rate, cfg_.enb_bucket_burst, now);
+      from, cfg_.enb_bucket_rate, kEnbBucketBurst, now);
   if (it->second.try_take(now)) return;
   // Bucket dry: tell the eNB to pace. Rate-limit the signal to half the
   // window so a hot eNB is not flooded with duplicate OverloadStarts.
   auto [sig, first] = enb_signal_at_.try_emplace(from, Time::zero());
-  if (!first && now < sig->second + cfg_.enb_backoff_window * 0.5) return;
+  if (!first && now < sig->second + kEnbBackoffWindow * 0.5) return;
   sig->second = now;
   ++backpressure_signals_;
   proto::OverloadStart start;
   start.level = 1;
   start.window_us =
-      static_cast<std::uint64_t>(cfg_.enb_backoff_window.count_us());
+      static_cast<std::uint64_t>(kEnbBackoffWindow.count_us());
   // Advisory: a lost signal just means the eNB keeps sending and the next
   // dry take re-signals; retransmitting a stale window would be worse.
   rel_.send_unreliable(from, proto::make_pdu(proto::S1apMessage{start}));
@@ -264,7 +272,7 @@ void Mlb::receive(NodeId from, const proto::Pdu& pdu) {
           if (const auto* init =
                   std::get_if<proto::InitialUeMessage>(&family)) {
             const proto::InitialUeMessage msg = *init;
-            cpu_.execute(cfg_.initial_route_cost,
+            cpu_.execute(kInitialRouteCost,
                          [this, from, msg]() { route_initial(from, msg); });
             return;
           }
@@ -282,7 +290,7 @@ void Mlb::receive(NodeId from, const proto::Pdu& pdu) {
                        std::get_if<proto::UeContextReleaseComplete>(&family))
             code = c->mme_ue_id.mmp_id();
           const proto::Pdu copy{family};
-          cpu_.execute(cfg_.relay_cost, [this, from, code, copy]() {
+          cpu_.execute(kRelayCost, [this, from, code, copy]() {
             route_by_code(from, code, copy);
           });
         } else if constexpr (std::is_same_v<T, proto::S11Message>) {
@@ -294,7 +302,7 @@ void Mlb::receive(NodeId from, const proto::Pdu& pdu) {
               },
               family);
           const proto::Pdu copy{family};
-          cpu_.execute(cfg_.relay_cost, [this, from, code, copy]() {
+          cpu_.execute(kRelayCost, [this, from, code, copy]() {
             route_by_code(from, code, copy);
           });
         } else if constexpr (std::is_same_v<T, proto::S6Message>) {
@@ -305,7 +313,7 @@ void Mlb::receive(NodeId from, const proto::Pdu& pdu) {
                        std::get_if<proto::UpdateLocationAnswer>(&family))
             hop = u->hop_ref;
           const proto::Pdu copy{family};
-          cpu_.execute(cfg_.relay_cost, [this, from, hop, copy]() {
+          cpu_.execute(kRelayCost, [this, from, hop, copy]() {
             // hop_ref is the MMP's NodeId (Diameter hop-by-hop echo).
             if (hop == 0 || !fabric_.is_registered(hop)) {
               ++unroutable_;
@@ -319,7 +327,7 @@ void Mlb::receive(NodeId from, const proto::Pdu& pdu) {
             SCALE_CHECK(reply->inner != nullptr);
             const NodeId target = reply->target;
             const proto::PduRef inner = reply->inner;
-            cpu_.execute(cfg_.relay_cost, [this, target, inner]() {
+            cpu_.execute(kRelayCost, [this, target, inner]() {
               ++relays_;
               rel_.send(target, inner->value);
             });
@@ -331,12 +339,12 @@ void Mlb::receive(NodeId from, const proto::Pdu& pdu) {
             apply_membership(ring_update->members, ring_update->version);
           } else if (const auto* gf = std::get_if<proto::GeoForward>(&family)) {
             const proto::GeoForward copy = *gf;
-            cpu_.execute(cfg_.initial_route_cost, [this, from, copy]() {
+            cpu_.execute(kInitialRouteCost, [this, from, copy]() {
               route_geo_forward(from, copy);
             });
           } else if (const auto* rej = std::get_if<proto::GeoReject>(&family)) {
             const proto::GeoReject copy = *rej;
-            cpu_.execute(cfg_.initial_route_cost,
+            cpu_.execute(kInitialRouteCost,
                          [this, copy]() { route_geo_reject(copy); });
           } else if (const auto* push = std::get_if<proto::ReplicaPush>(&family)) {
             // Geo replica arriving from a remote DC: place it on the local
@@ -344,7 +352,7 @@ void Mlb::receive(NodeId from, const proto::Pdu& pdu) {
             // remote DC, which selects the MMP VM based on the hash ring of
             // that DC").
             const proto::ReplicaPush copy = *push;
-            cpu_.execute(cfg_.relay_cost, [this, copy]() {
+            cpu_.execute(kRelayCost, [this, copy]() {
               if (ring_.empty()) {
                 ++unroutable_;
                 return;
@@ -355,7 +363,7 @@ void Mlb::receive(NodeId from, const proto::Pdu& pdu) {
           } else if (const auto* shed =
                          std::get_if<proto::OverloadReject>(&family)) {
             const proto::OverloadReject copy = *shed;
-            cpu_.execute(cfg_.initial_route_cost,
+            cpu_.execute(kInitialRouteCost,
                          [this, copy]() { handle_overload_reject(copy); });
           } else if (std::holds_alternative<proto::GeoBudgetGossip>(family) ||
                      std::holds_alternative<proto::GeoEvictRequest>(family)) {

@@ -46,9 +46,6 @@ class Mlb : public Endpoint {
     std::uint8_t mme_code = 1;  ///< the one logical MME the eNodeBs see
     std::uint16_t plmn = 1;
     std::uint16_t mme_group = 1;
-    /// Routing costs: ring lookups hash MD5 and consult the load view.
-    Duration initial_route_cost = Duration::us(35);
-    Duration relay_cost = Duration::us(20);
     /// The steering knob group: policy selector (ring or p2c), R
     /// (`choices`) and the ring config. Defaults reproduce the paper's
     /// design point exactly (see steering.h).
@@ -60,11 +57,9 @@ class Mlb : public Endpoint {
     std::uint32_t tmsi_base = 1;
     /// Per-eNB edge backpressure (graduated overload, DESIGN.md §9): while
     /// any MMP is inside a shed-backoff window, each eNB's Initial UE
-    /// messages drain a token bucket; when an eNB's bucket runs dry the MLB
-    /// sends it OverloadStart (pace for enb_backoff_window). rate 0 = off.
+    /// messages drain a token bucket (40 deep); when an eNB's bucket runs
+    /// dry the MLB sends it OverloadStart (pace for 250 ms). rate 0 = off.
     double enb_bucket_rate = 0.0;  ///< tokens (initials) per second
-    double enb_bucket_burst = 50.0;
-    Duration enb_backoff_window = Duration::ms(250.0);
   };
 
   Mlb(Fabric& fabric, Config cfg);

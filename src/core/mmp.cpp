@@ -18,6 +18,10 @@ namespace {
 /// its steering choices for this long.
 constexpr Duration kShedBackoff = Duration::ms(200.0);
 
+/// CPU backlog from which Active-mode work with an external replica may be
+/// geo-offloaded: below it a VM serves everything locally.
+constexpr Duration kOffloadBacklog = Duration::ms(40.0);
+
 /// Procedure type of an Initial UE message, for priority-ordered shedding.
 proto::ProcedureType initial_procedure(const proto::NasMessage& nas) {
   if (std::holds_alternative<proto::NasAttachRequest>(nas))
@@ -141,7 +145,7 @@ void MmpNode::handle_forward(NodeId from, const proto::ClusterForward& fwd) {
     bool divert = false;
     const Duration backlog = cpu().backlog();
     if (ctx != nullptr && geo_ != nullptr && ctx->rec.external_dc >= 0 &&
-        backlog >= mmp_cfg_.offload_backlog) {
+        backlog >= kOffloadBacklog) {
       const auto dc = static_cast<std::uint32_t>(ctx->rec.external_dc);
       if (geo_->config().selection == GeoManager::Selection::kUniform) {
         divert = true;  // RDM baselines: overloaded → forward, blind

@@ -30,11 +30,11 @@ class MmpNode final : public mme::ClusterVm {
     mme::ClusterVm::Config base;
     /// Load signals above which Active-mode work is geo-offloaded when
     /// possible (§4.6 task (3): "if its load is above a threshold"). The
-    /// CPU backlog is the instantaneous signal (no estimator lag — the
-    /// request would wait at least this long locally); the utilization
-    /// EWMA is the slow guard. Either trips the offload.
+    /// CPU backlog (40 ms, fixed) is the instantaneous signal (no estimator
+    /// lag — the request would wait at least this long locally); this
+    /// utilization EWMA threshold is the slow guard. Either trips the
+    /// offload.
     double offload_threshold = 0.85;
-    Duration offload_backlog = Duration::ms(40.0);
     /// Overload protection: an Initial request arriving while queued work
     /// exceeds shed_backlog is rejected back to the MLB (OverloadReject
     /// carrying the request + a 200 ms steer-away hint) instead of joining

@@ -7,6 +7,11 @@
 
 namespace scale::core {
 
+namespace {
+/// Paging stretch at the elevated band; it doubles per band above.
+constexpr Duration kPagingDeferUnit = Duration::ms(100.0);
+}  // namespace
+
 const char* pressure_level_name(PressureLevel level) {
   switch (level) {
     case PressureLevel::kNominal: return "nominal";
@@ -112,7 +117,7 @@ Duration OverloadGovernor::paging_defer() const {
   const int band = static_cast<int>(level_);
   if (!cfg_.enabled || band == 0) return Duration::zero();
   const Duration defer =
-      cfg_.paging_defer_unit * static_cast<double>(1 << (band - 1));
+      kPagingDeferUnit * static_cast<double>(1 << (band - 1));
   return std::min(defer, cfg_.max_paging_defer);
 }
 

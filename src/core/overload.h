@@ -98,11 +98,10 @@ class OverloadGovernor {
     Duration backlog_ref = Duration::ms(80.0);
     std::size_t inflight_ref = 256;
 
-    /// Paging stretch: defer the paging fan-out by unit × 2^(level−1),
+    /// Paging stretch: defer the paging fan-out by 100 ms × 2^(level−1),
     /// capped at max_paging_defer. The cap must stay inside the transport's
     /// retry horizon (TransportConfig::retry_horizon) or a stretched page
     /// could outlive the reliable channel's retransmissions.
-    Duration paging_defer_unit = Duration::ms(100.0);
     Duration max_paging_defer = Duration::ms(800.0);
   };
 

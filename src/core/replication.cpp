@@ -6,7 +6,6 @@ namespace scale::core {
 
 bool ReplicationPolicy::should_replicate(double wi, Rng& rng) const {
   if (local_copies <= 1) return false;
-  if (!access_aware) return rng.chance(uniform_probability);
   // x = 0 disables the low-access cut (every device is above it).
   if (low_access_threshold > 0.0 && wi <= low_access_threshold) return false;
   if (probability_scale >= 1e17) return true;  // no memory pressure

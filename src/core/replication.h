@@ -5,8 +5,8 @@
 // one replica besides the master. Under memory pressure the policy turns
 // access-aware: devices with wᵢ ≤ x keep a single copy (Eq. 2 feeds the
 // resulting β into provisioning), and the remaining replica budget is spent
-// proportionally to wᵢ (Eq. 3). The access-unaware variant (uniform random)
-// is the baseline of Fig. 6(b).
+// proportionally to wᵢ (Eq. 3). The access-unaware baseline of Fig. 6(b)
+// (uniform random) is analytic only: analysis::AccessModel::average_cost.
 #pragma once
 
 #include "common/rng.h"
@@ -18,19 +18,12 @@ struct ReplicationPolicy {
   /// 2 is SCALE's default.
   unsigned local_copies = 2;
 
-  /// Access-aware mode (SCALE). When false, replication decisions ignore
-  /// wᵢ and use `uniform_probability` (the Fig. 6(b) baseline).
-  bool access_aware = true;
-
   /// x — devices with wᵢ ≤ x are not replicated beyond the master.
   double low_access_threshold = 0.0;
 
   /// Eq. 3 scaling: P(replicate | wᵢ > x) = min(1, wᵢ · probability_scale).
   /// +inf means "replicate every eligible device" (no memory pressure).
   double probability_scale = 1e18;
-
-  /// Access-unaware replica probability (Eq. 11 baseline).
-  double uniform_probability = 1.0;
 
   /// When false, replicas are synchronized only at the Active→Idle
   /// transition (the E2 bulk sync) instead of after every procedure —

@@ -92,16 +92,16 @@ void EnodeB::ue_initial_nas(Ue& ue, proto::NasMessage nas,
   fabric_.engine().after(cfg_.radio_delay, [this, &ue, nas = std::move(nas),
                                             exclude_mme]() mutable {
     const Time now = fabric_.engine().now();
-    if (now < mme_backoff_until_ && cfg_.overload_pace > Duration::zero()) {
+    if (now < mme_backoff_until_) {
       // Core signalled OverloadStart: serialize initials onto a spaced
       // grid instead of releasing the herd at once (3GPP access-class
       // barring in spirit, deterministic in mechanism).
-      Time slot = now + cfg_.overload_pace;
-      if (next_paced_slot_ + cfg_.overload_pace > slot)
-        slot = next_paced_slot_ + cfg_.overload_pace;
+      Time slot = now + kOverloadPace;
+      if (next_paced_slot_ + kOverloadPace > slot)
+        slot = next_paced_slot_ + kOverloadPace;
       // Grid full: stop absorbing — the core's admission control owns the
       // excess from here.
-      if (slot - now <= cfg_.overload_pace_horizon) {
+      if (slot - now <= kOverloadPaceHorizon) {
         next_paced_slot_ = slot;
         ++paced_initials_;
         fabric_.engine().after(

@@ -39,18 +39,19 @@ class EnodeB : public Endpoint {
     /// never answers — how real eNodeBs clean up after a dead core node.
     /// zero() disables it (the MME inactivity timer then owns releases).
     Duration rrc_inactivity = Duration::zero();
-    /// Spacing between Initial UE messages while an MME OverloadStart
-    /// pacing window is active (S1AP overload backoff). The window itself
-    /// only opens when the core sends OverloadStart; zero() ignores it.
-    Duration overload_pace = Duration::ms(2.0);
-    /// Deepest the pacing grid may reach ahead of now. Pacing smooths the
-    /// instantaneous herd; once the grid is this full, further initials go
-    /// straight through and the core's admission control owns the excess —
-    /// otherwise a sustained burst turns the grid into a multi-second
-    /// delay line that outlives the overload itself.
-    Duration overload_pace_horizon = Duration::ms(200.0);
     std::uint64_t seed = 7;
   };
+
+  /// Spacing between Initial UE messages while an MME OverloadStart
+  /// pacing window is active (S1AP overload backoff): ~125 initials/s per
+  /// eNB. The window itself only opens when the core sends OverloadStart.
+  static constexpr Duration kOverloadPace = Duration::ms(8.0);
+  /// Deepest the pacing grid may reach ahead of now. Pacing smooths the
+  /// instantaneous herd; once the grid is this full, further initials go
+  /// straight through and the core's admission control owns the excess —
+  /// otherwise a sustained burst turns the grid into a multi-second
+  /// delay line that outlives the overload itself.
+  static constexpr Duration kOverloadPaceHorizon = Duration::ms(200.0);
 
   EnodeB(Fabric& fabric, Config cfg);
   explicit EnodeB(Fabric& fabric) : EnodeB(fabric, Config{}) {}
@@ -67,10 +68,6 @@ class EnodeB : public Endpoint {
   void remove_mme(NodeId mme);
   void set_mme_weight(NodeId mme, double weight);
   std::size_t mme_count() const { return mmes_.size(); }
-
-  /// Tune the OverloadStart pacing grid after construction (benchmarks
-  /// match it to pool capacity).
-  void set_overload_pace(Duration pace) { cfg_.overload_pace = pace; }
 
   // --- UE-facing radio interface --------------------------------------
   /// First NAS message of a procedure: opens an S1 connection, selects the
@@ -143,7 +140,7 @@ class EnodeB : public Endpoint {
   proto::EnbUeId next_ue_id_ = 1;
   bool rrc_sweep_running_ = false;
   /// OverloadStart pacing state: initials arriving before the deadline are
-  /// spread overload_pace apart on a shared grid.
+  /// spread kOverloadPace apart on a shared grid.
   Time mme_backoff_until_ = Time::zero();
   Time next_paced_slot_ = Time::zero();
   std::uint64_t paced_initials_ = 0;

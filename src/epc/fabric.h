@@ -37,25 +37,27 @@ using sim::NodeId;
 /// policy without threading the knobs through each entity's Config. With
 /// `reliable == false` (the default) the shim is pass-through: sends go out
 /// unwrapped and the clean-path wire format is byte-identical to a build
-/// without the shim.
+/// without the shim. The retransmission schedule is fixed: 250 ms, doubling
+/// per attempt, capped at 4 s, abandoned after 8 retransmits.
 struct TransportConfig {
+  static constexpr Duration kRtoInitial = Duration::ms(250.0);
+  static constexpr double kRtoBackoff = 2.0;
+  static constexpr Duration kRtoMax = Duration::ms(4000.0);
+  static constexpr std::uint32_t kMaxRetransmits = 8;
+
   bool reliable = false;
-  Duration rto_initial = Duration::ms(250.0);  ///< first retransmit timeout
-  double rto_backoff = 2.0;                    ///< exponential backoff factor
-  Duration rto_max = Duration::ms(4000.0);     ///< backoff cap
-  std::uint32_t max_retransmits = 8;           ///< then the send is abandoned
 
   /// Worst-case span between first transmission and abandonment: the sum of
   /// every (capped) RTO the shim would wait through. Timers an overload
   /// governor stretches (e.g. deferred paging) must stay inside this window
   /// or the deferred message could outlive its own retransmissions.
-  [[nodiscard]] Duration retry_horizon() const {
+  [[nodiscard]] static constexpr Duration retry_horizon() {
     Duration horizon = Duration::zero();
-    Duration rto = rto_initial;
-    for (std::uint32_t i = 0; i < max_retransmits; ++i) {
+    Duration rto = kRtoInitial;
+    for (std::uint32_t i = 0; i < kMaxRetransmits; ++i) {
       horizon = horizon + rto;
-      rto = rto * rto_backoff;
-      if (rto > rto_max) rto = rto_max;
+      rto = rto * kRtoBackoff;
+      if (rto > kRtoMax) rto = kRtoMax;
     }
     return horizon;
   }

@@ -5,8 +5,15 @@
 
 namespace scale::epc {
 
-Hss::Hss(Fabric& fabric, Config cfg)
-    : fabric_(fabric), cfg_(cfg), node_(fabric.add_endpoint(this)),
+namespace {
+/// CPU time to answer one Authentication-Information request.
+constexpr Duration kAuthServiceTime = Duration::us(80);
+/// CPU time to answer one Update-Location request.
+constexpr Duration kLocationServiceTime = Duration::us(60);
+}  // namespace
+
+Hss::Hss(Fabric& fabric)
+    : fabric_(fabric), node_(fabric.add_endpoint(this)),
       rel_(fabric, node_), cpu_(fabric.engine()) {}
 
 Hss::~Hss() { fabric_.remove_endpoint(node_); }
@@ -56,7 +63,7 @@ void Hss::receive(NodeId from, const proto::Pdu& pdu) {
 }
 
 void Hss::handle_auth(NodeId from, const proto::AuthInfoRequest& req) {
-  cpu_.execute(cfg_.auth_service_time, [this, from, req]() {
+  cpu_.execute(kAuthServiceTime, [this, from, req]() {
     proto::AuthInfoAnswer ans;
     ans.imsi = req.imsi;
     ans.hop_ref = req.hop_ref;
@@ -76,7 +83,7 @@ void Hss::handle_auth(NodeId from, const proto::AuthInfoRequest& req) {
 
 void Hss::handle_location(NodeId from,
                           const proto::UpdateLocationRequest& req) {
-  cpu_.execute(cfg_.location_service_time, [this, from, req]() {
+  cpu_.execute(kLocationServiceTime, [this, from, req]() {
     proto::UpdateLocationAnswer ans;
     ans.imsi = req.imsi;
     ans.hop_ref = req.hop_ref;

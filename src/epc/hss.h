@@ -17,13 +17,7 @@ namespace scale::epc {
 
 class Hss : public Endpoint {
  public:
-  struct Config {
-    Duration auth_service_time = Duration::us(80);
-    Duration location_service_time = Duration::us(60);
-  };
-
-  Hss(Fabric& fabric, Config cfg);
-  Hss(Fabric& fabric) : Hss(fabric, Config{}) {}
+  explicit Hss(Fabric& fabric);
   ~Hss() override;
 
   NodeId node() const { return node_; }
@@ -59,7 +53,6 @@ class Hss : public Endpoint {
   void handle_location(NodeId from, const proto::UpdateLocationRequest& req);
 
   Fabric& fabric_;
-  Config cfg_;
   NodeId node_;
   ReliableChannel rel_;
   sim::CpuModel cpu_;

@@ -35,7 +35,8 @@ void ReliableChannel::send(NodeId to, proto::Pdu pdu) {
   }
   peer.ring[seq & (peer.ring.size() - 1)] = index;
   Pending& p = pending_[index];
-  p = Pending{proto::box(std::move(pdu)), /*attempt=*/0, cfg_.rto_initial};
+  p = Pending{proto::box(std::move(pdu)), /*attempt=*/0,
+              TransportConfig::kRtoInitial};
   transmit(to, seq, p);
   arm_timer(to, seq, p.rto);
 }
@@ -103,7 +104,7 @@ void ReliableChannel::on_timeout(NodeId to, std::uint64_t seq) {
     return;
   }
   Pending& p = *pending;
-  if (p.attempt >= cfg_.max_retransmits) {
+  if (p.attempt >= TransportConfig::kMaxRetransmits) {
     ++abandoned_;
     SCALE_DEBUG("abandoned seq " << seq << " " << self_ << " -> " << to
                                  << " after " << p.attempt << " retransmits");
@@ -120,7 +121,8 @@ void ReliableChannel::on_timeout(NodeId to, std::uint64_t seq) {
   }
   ++p.attempt;
   ++retransmits_;
-  p.rto = std::min(p.rto * cfg_.rto_backoff, cfg_.rto_max);
+  p.rto = std::min(p.rto * TransportConfig::kRtoBackoff,
+                   TransportConfig::kRtoMax);
   if (obs::Tracer* tr = obs::Tracer::current()) {
     obs::Json args = obs::Json::object();
     args.set("peer", to);

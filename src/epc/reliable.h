@@ -41,7 +41,7 @@ class ReliableChannel {
   bool enabled() const { return cfg_.reliable; }
 
   /// Reliable send: wrapped, sequenced, retransmitted until acked or
-  /// abandoned after max_retransmits attempts. Pass-through when disabled.
+  /// abandoned after kMaxRetransmits attempts. Pass-through when disabled.
   void send(NodeId to, proto::Pdu pdu);
 
   /// Fire-and-forget send bypassing the shim even when enabled — used for

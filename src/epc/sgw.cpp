@@ -4,8 +4,15 @@
 
 namespace scale::epc {
 
-Sgw::Sgw(Fabric& fabric, Config cfg)
-    : fabric_(fabric), cfg_(cfg), node_(fabric.add_endpoint(this)),
+namespace {
+/// CPU time to create or delete a session.
+constexpr Duration kSessionServiceTime = Duration::us(100);
+/// CPU time to modify or release a bearer, or to notify downlink data.
+constexpr Duration kBearerServiceTime = Duration::us(70);
+}  // namespace
+
+Sgw::Sgw(Fabric& fabric)
+    : fabric_(fabric), node_(fabric.add_endpoint(this)),
       rel_(fabric, node_), cpu_(fabric.engine()) {}
 
 Sgw::~Sgw() { fabric_.remove_endpoint(node_); }
@@ -26,7 +33,7 @@ void Sgw::handle_s11(NodeId from, const proto::S11Message& msg) {
       [this, from](const auto& m) {
         using T = std::decay_t<decltype(m)>;
         if constexpr (std::is_same_v<T, proto::CreateSessionRequest>) {
-          cpu_.execute(cfg_.session_service_time, [this, from, m]() {
+          cpu_.execute(kSessionServiceTime, [this, from, m]() {
             const proto::Teid teid{next_teid_++};
             sessions_.put(teid.raw,
                           Session{m.imsi, m.mme_teid, from, 0, false});
@@ -37,7 +44,7 @@ void Sgw::handle_s11(NodeId from, const proto::S11Message& msg) {
             rel_.send(from, proto::make_pdu(resp));
           });
         } else if constexpr (std::is_same_v<T, proto::ModifyBearerRequest>) {
-          cpu_.execute(cfg_.bearer_service_time, [this, from, m]() {
+          cpu_.execute(kBearerServiceTime, [this, from, m]() {
             if (Session* session = sessions_.find(m.sgw_teid.raw)) {
               session->enb_id = m.enb_id;
               session->bearer_active = true;
@@ -49,7 +56,7 @@ void Sgw::handle_s11(NodeId from, const proto::S11Message& msg) {
           });
         } else if constexpr (std::is_same_v<T,
                                             proto::ReleaseAccessBearersRequest>) {
-          cpu_.execute(cfg_.bearer_service_time, [this, from, m]() {
+          cpu_.execute(kBearerServiceTime, [this, from, m]() {
             if (Session* session = sessions_.find(m.sgw_teid.raw))
               session->bearer_active = false;
             proto::ReleaseAccessBearersResponse resp;
@@ -57,7 +64,7 @@ void Sgw::handle_s11(NodeId from, const proto::S11Message& msg) {
             rel_.send(from, proto::make_pdu(resp));
           });
         } else if constexpr (std::is_same_v<T, proto::DeleteSessionRequest>) {
-          cpu_.execute(cfg_.session_service_time, [this, from, m]() {
+          cpu_.execute(kSessionServiceTime, [this, from, m]() {
             if (const Session* session = sessions_.find(m.sgw_teid.raw)) {
               teid_by_imsi_.erase(session->imsi);
               sessions_.erase(m.sgw_teid.raw);
@@ -83,7 +90,7 @@ bool Sgw::inject_downlink_data(proto::Teid sgw_teid) {
   // Capture by value: the session table may grow before the CPU slice runs.
   const proto::Teid mme_teid = session->mme_teid;
   const NodeId control_node = session->control_node;
-  cpu_.execute(cfg_.bearer_service_time, [this, mme_teid, control_node]() {
+  cpu_.execute(kBearerServiceTime, [this, mme_teid, control_node]() {
     proto::DownlinkDataNotification ddn;
     ddn.mme_teid = mme_teid;
     ++ddn_sent_;

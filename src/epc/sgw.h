@@ -15,13 +15,7 @@ namespace scale::epc {
 
 class Sgw : public Endpoint {
  public:
-  struct Config {
-    Duration session_service_time = Duration::us(100);
-    Duration bearer_service_time = Duration::us(70);
-  };
-
-  Sgw(Fabric& fabric, Config cfg);
-  explicit Sgw(Fabric& fabric) : Sgw(fabric, Config{}) {}
+  explicit Sgw(Fabric& fabric);
   ~Sgw() override;
 
   NodeId node() const { return node_; }
@@ -54,7 +48,6 @@ class Sgw : public Endpoint {
   void handle_s11(NodeId from, const proto::S11Message& msg);
 
   Fabric& fabric_;
-  Config cfg_;
   NodeId node_;
   ReliableChannel rel_;
   sim::CpuModel cpu_;

@@ -67,13 +67,6 @@ RingNodeId ConsistentHashRing::owner(std::uint64_t key) const {
   return ring_[first_token_at_or_after(position_of_key(key))].second;
 }
 
-std::vector<RingNodeId> ConsistentHashRing::preference_list(
-    std::uint64_t key, std::size_t n) const {
-  std::vector<RingNodeId> out;
-  preference_list(key, n, out);
-  return out;
-}
-
 void ConsistentHashRing::preference_list(std::uint64_t key, std::size_t n,
                                          std::vector<RingNodeId>& out) const {
   SCALE_CHECK_MSG(!ring_.empty(), "preference_list() on empty ring");
@@ -88,13 +81,6 @@ void ConsistentHashRing::preference_list(std::uint64_t key, std::size_t n,
       out.push_back(candidate);
     idx = (idx + 1) % ring_.size();
   }
-}
-
-std::optional<RingNodeId> ConsistentHashRing::replica_of(
-    std::uint64_t key) const {
-  const auto prefs = preference_list(key, 2);
-  if (prefs.size() < 2) return std::nullopt;
-  return prefs[1];
 }
 
 double ConsistentHashRing::ownership_fraction(RingNodeId node) const {

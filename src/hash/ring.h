@@ -15,7 +15,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "common/check.h"
@@ -58,19 +57,12 @@ class ConsistentHashRing {
   RingNodeId owner(std::uint64_t key) const;
 
   /// Master followed by the next n-1 *distinct* nodes clockwise — the
-  /// replica preference list. Returns fewer entries if the ring has fewer
+  /// replica preference list — written into `out` (cleared first; its
+  /// capacity is kept, so per-procedure callers reuse one scratch vector
+  /// instead of allocating). Fewer than n entries if the ring has fewer
   /// than n nodes. Precondition: ring not empty.
-  std::vector<RingNodeId> preference_list(std::uint64_t key,
-                                          std::size_t n) const;
-
-  /// Same list written into `out` (cleared first; its capacity is kept), so
-  /// per-procedure callers reuse one scratch vector instead of allocating.
   void preference_list(std::uint64_t key, std::size_t n,
                        std::vector<RingNodeId>& out) const;
-
-  /// The single replica target (second entry of the preference list), or
-  /// nullopt when the ring has only one node.
-  std::optional<RingNodeId> replica_of(std::uint64_t key) const;
 
   /// All (position, node) tokens in ring order — for tests and debugging.
   const std::vector<std::pair<std::uint64_t, RingNodeId>>& tokens() const {

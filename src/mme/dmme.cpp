@@ -4,10 +4,21 @@
 
 namespace scale::mme {
 
+namespace {
+/// Store CPU time to serve one context fetch.
+constexpr Duration kFetchCost = Duration::us(120);
+/// Store CPU time to absorb one write-back or delete.
+constexpr Duration kWriteCost = Duration::us(150);
+/// LB CPU time to route an Initial UE message (round-robin pick).
+constexpr Duration kRouteCost = Duration::us(25);
+/// LB CPU time to relay any other message to or from a node.
+constexpr Duration kRelayCost = Duration::us(20);
+}  // namespace
+
 // ------------------------------------------------------------- DmmeStateStore
 
 DmmeStateStore::DmmeStateStore(epc::Fabric& fabric, Config cfg)
-    : fabric_(fabric), cfg_(cfg), node_(fabric.add_endpoint(this)),
+    : fabric_(fabric), node_(fabric.add_endpoint(this)),
       cpu_(fabric.engine(), cfg.cpu_speed) {}
 
 DmmeStateStore::~DmmeStateStore() { fabric_.remove_endpoint(node_); }
@@ -20,7 +31,7 @@ void DmmeStateStore::receive(NodeId from, const proto::Pdu& pdu) {
   }
   if (const auto* fetch = std::get_if<proto::StateFetch>(cluster)) {
     const proto::Guti guti = fetch->guti;
-    cpu_.execute(cfg_.fetch_cost, [this, from, guti]() {
+    cpu_.execute(kFetchCost, [this, from, guti]() {
       ++fetches_;
       proto::StateFetchResp resp;
       resp.guti = guti;
@@ -33,7 +44,7 @@ void DmmeStateStore::receive(NodeId from, const proto::Pdu& pdu) {
     });
   } else if (const auto* write = std::get_if<proto::StateTransfer>(cluster)) {
     const proto::UeContextRecord rec = write->rec;
-    cpu_.execute(cfg_.write_cost, [this, rec]() {
+    cpu_.execute(kWriteCost, [this, rec]() {
       ++writes_;
       auto* existing = store_.find(rec.guti.key());
       if (existing != nullptr) {
@@ -44,7 +55,7 @@ void DmmeStateStore::receive(NodeId from, const proto::Pdu& pdu) {
     });
   } else if (const auto* del = std::get_if<proto::ReplicaDelete>(cluster)) {
     const std::uint64_t key = del->guti.key();
-    cpu_.execute(cfg_.write_cost, [this, key]() {
+    cpu_.execute(kWriteCost, [this, key]() {
       if (store_.contains(key)) store_.erase(key);
     });
   } else {
@@ -182,7 +193,7 @@ void DmmeLb::receive(NodeId from, const proto::Pdu& pdu) {
           if (const auto* init =
                   std::get_if<proto::InitialUeMessage>(&family)) {
             const proto::InitialUeMessage msg = *init;
-            cpu_.execute(cfg_.route_cost, [this, from, msg]() {
+            cpu_.execute(kRouteCost, [this, from, msg]() {
               SCALE_CHECK_MSG(!nodes_.empty(), "dMME LB has no nodes");
               proto::Guti guti;
               if (const auto* a =
@@ -224,7 +235,7 @@ void DmmeLb::receive(NodeId from, const proto::Pdu& pdu) {
                        std::get_if<proto::UeContextReleaseComplete>(&family))
             code = c->mme_ue_id.mmp_id();
           const proto::Pdu copy{family};
-          cpu_.execute(cfg_.relay_cost, [this, from, code, copy]() {
+          cpu_.execute(kRelayCost, [this, from, code, copy]() {
             const NodeId target = by_code(code);
             if (target != 0) forward(target, from, proto::Guti{}, copy);
           });
@@ -237,7 +248,7 @@ void DmmeLb::receive(NodeId from, const proto::Pdu& pdu) {
               },
               family);
           const proto::Pdu copy{family};
-          cpu_.execute(cfg_.relay_cost, [this, from, code, copy]() {
+          cpu_.execute(kRelayCost, [this, from, code, copy]() {
             const NodeId target = by_code(code);
             if (target != 0) forward(target, from, proto::Guti{}, copy);
           });
@@ -249,7 +260,7 @@ void DmmeLb::receive(NodeId from, const proto::Pdu& pdu) {
                        std::get_if<proto::UpdateLocationAnswer>(&family))
             hop = u->hop_ref;
           const proto::Pdu copy{family};
-          cpu_.execute(cfg_.relay_cost, [this, from, hop, copy]() {
+          cpu_.execute(kRelayCost, [this, from, hop, copy]() {
             if (hop != 0 && fabric_.is_registered(hop))
               forward(hop, from, proto::Guti{}, copy);
           });
@@ -258,7 +269,7 @@ void DmmeLb::receive(NodeId from, const proto::Pdu& pdu) {
             SCALE_CHECK(reply->inner != nullptr);
             const NodeId target = reply->target;
             const proto::PduRef inner = reply->inner;
-            cpu_.execute(cfg_.relay_cost, [this, target, inner]() {
+            cpu_.execute(kRelayCost, [this, target, inner]() {
               fabric_.send(node_, target, inner->value);
             });
           }

@@ -23,8 +23,6 @@ namespace scale::mme {
 class DmmeStateStore : public epc::Endpoint {
  public:
   struct Config {
-    Duration fetch_cost = Duration::us(120);
-    Duration write_cost = Duration::us(150);
     double cpu_speed = 1.0;
   };
 
@@ -43,7 +41,6 @@ class DmmeStateStore : public epc::Endpoint {
 
  private:
   epc::Fabric& fabric_;
-  Config cfg_;
   NodeId node_;
   sim::CpuModel cpu_;
   epc::UeContextStore store_;
@@ -94,8 +91,6 @@ class DmmeLb : public epc::Endpoint {
     std::uint8_t mme_code = 1;
     std::uint16_t plmn = 1;
     std::uint16_t mme_group = 1;
-    Duration route_cost = Duration::us(25);
-    Duration relay_cost = Duration::us(20);
     double cpu_speed = 1.0;
   };
 

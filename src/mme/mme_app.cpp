@@ -125,7 +125,6 @@ void MmeApp::start_attach(NodeId enb, const proto::InitialUeMessage& msg,
     rec.tac = msg.tac;
     rec.home_dc = cfg_.home_dc;
     rec.sgw_node = cfg_.sgw_node;
-    rec.state_bytes = cfg_.default_state_bytes;
     // Neutral access-probability prior for a brand-new device; the epoch
     // EWMA refines it (§4.5: "SCALE keeps track of the average access
     // frequency of a device... as a moving average").
@@ -742,7 +741,6 @@ void MmeApp::touch(UeContext& ctx) {
 }
 
 void MmeApp::arm_inactivity(UeContext& ctx) {
-  if (!cfg_.enable_inactivity_timer) return;
   disarm_inactivity(ctx);
   const std::uint64_t key = ctx.key();
   store_.arm_timer(

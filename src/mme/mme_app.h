@@ -82,10 +82,6 @@ class MmeApp {
     std::uint32_t hop_ref = 0;
     std::uint32_t home_dc = 0;
     std::uint32_t sgw_node = 0;  ///< recorded into contexts for geo routing
-    std::uint32_t default_state_bytes = 2048;
-    /// When false the inactivity timer never fires (workloads that manage
-    /// Idle transitions explicitly).
-    bool enable_inactivity_timer = true;
   };
 
   struct Counters {

@@ -8,6 +8,13 @@
 
 namespace scale::mme {
 
+namespace {
+/// Period of the reactive overload check.
+constexpr Duration kOverloadCheckInterval = Duration::ms(200.0);
+/// Active devices shed to a peer per check while overloaded.
+constexpr std::size_t kShedBatch = 8;
+}  // namespace
+
 MmeNode::MmeNode(epc::Fabric& fabric, Config cfg)
     : fabric_(fabric), cfg_(cfg), node_(fabric.add_endpoint(this)),
       rel_(fabric, node_),
@@ -49,11 +56,9 @@ MmeNode::MmeNode(epc::Fabric& fabric, Config cfg)
                .on_idle = nullptr,
                .before_detach = nullptr,
            }) {
-  if (cfg_.overload_protection) {
-    ticking_ = true;
-    fabric_.engine().after(cfg_.overload_check_interval,
+  if (cfg_.overload_protection)
+    fabric_.engine().after(kOverloadCheckInterval,
                            [this] { overload_tick(); });
-  }
 }
 
 MmeNode::~MmeNode() {
@@ -64,17 +69,6 @@ MmeNode::~MmeNode() {
 void MmeNode::add_peer(MmeNode* peer) {
   SCALE_CHECK(peer != nullptr && peer != this);
   peers_.push_back(peer);
-}
-
-void MmeNode::configure_overload(bool on, double threshold) {
-  cfg_.overload_protection = on;
-  cfg_.overload_threshold = threshold;
-  if (on && !ticking_) {
-    ticking_ = true;
-    fabric_.engine().after(cfg_.overload_check_interval,
-                           [this] { overload_tick(); });
-  }
-  if (!on) ticking_ = false;
 }
 
 void MmeNode::set_paging_enbs(
@@ -179,7 +173,6 @@ void MmeNode::shed_context(UeContext& ctx, MmeNode& peer, NodeId enb,
 }
 
 void MmeNode::overload_tick() {
-  if (!ticking_) return;
   if (util_.utilization() >= cfg_.overload_threshold && !peers_.empty()) {
     MmeNode* peer = least_loaded_peer();
     if (peer != nullptr &&
@@ -190,7 +183,7 @@ void MmeNode::overload_tick() {
       });
       std::size_t shed = 0;
       for (std::uint64_t key : keys) {
-        if (shed >= cfg_.shed_batch) break;
+        if (shed >= kShedBatch) break;
         UeContext* ctx = app_.store().find(key);
         if (ctx == nullptr) continue;
         shed_context(*ctx, *peer, ctx->rec.enb_id, ctx->rec.enb_ue_id);
@@ -198,7 +191,7 @@ void MmeNode::overload_tick() {
       }
     }
   }
-  fabric_.engine().after(cfg_.overload_check_interval,
+  fabric_.engine().after(kOverloadCheckInterval,
                          [this] { overload_tick(); });
 }
 

@@ -38,8 +38,6 @@ class MmeNode : public epc::Endpoint {
     // Reactive overload protection (off by default; the pool enables it).
     bool overload_protection = false;
     double overload_threshold = 0.9;
-    Duration overload_check_interval = Duration::ms(200.0);
-    std::size_t shed_batch = 8;  ///< devices shed per check when overloaded
   };
 
   MmeNode(epc::Fabric& fabric, Config cfg);
@@ -55,9 +53,6 @@ class MmeNode : public epc::Endpoint {
 
   /// Peers for reactive reassignment (state-transfer targets).
   void add_peer(MmeNode* peer);
-
-  /// Enable/disable reactive overload protection at runtime.
-  void configure_overload(bool on, double threshold);
 
   /// Provide the eNodeB set per tracking area (paging fan-out).
   void set_paging_enbs(std::function<std::vector<NodeId>(proto::Tac)>&& fn);
@@ -88,7 +83,6 @@ class MmeNode : public epc::Endpoint {
   std::function<std::vector<NodeId>(proto::Tac)> paging_fn_storage_;
   MmeApp app_;
   std::vector<MmeNode*> peers_;
-  bool ticking_ = false;
   std::uint64_t devices_shed_ = 0;
   std::uint64_t transfers_received_ = 0;
 };

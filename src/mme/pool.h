@@ -24,7 +24,6 @@ class MmePool {
   struct Config {
     MmeNode::Config node_template;  ///< mme_code/weight are overwritten
     std::size_t initial_count = 1;
-    std::uint8_t first_mme_code = 1;
   };
 
   MmePool(epc::Fabric& fabric, Config cfg);
@@ -40,10 +39,6 @@ class MmePool {
   std::vector<std::unique_ptr<MmeNode>>& mmes() { return mmes_; }
   MmeNode& mme(std::size_t i) { return *mmes_.at(i); }
   std::size_t size() const { return mmes_.size(); }
-
-  /// Enable reactive overload protection on every member and wire them as
-  /// mutual peers.
-  void enable_overload_protection(double threshold);
 
   /// Publish every member's counters under `prefix` + ".<index>.".
   void export_metrics(obs::MetricsRegistry& reg,

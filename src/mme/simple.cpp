@@ -4,6 +4,13 @@
 
 namespace scale::mme {
 
+namespace {
+/// LB CPU time to route an Initial UE message (table lookup or insert).
+constexpr Duration kRouteCost = Duration::us(30);
+/// LB CPU time to relay any other message to or from a VM.
+constexpr Duration kRelayCost = Duration::us(20);
+}  // namespace
+
 // ------------------------------------------------------------------ SimpleVm
 
 void SimpleVm::on_procedure_done(UeContext& ctx, proto::ProcedureType type) {
@@ -119,7 +126,7 @@ void SimpleLb::receive(NodeId from, const proto::Pdu& pdu) {
           if (const auto* init =
                   std::get_if<proto::InitialUeMessage>(&family)) {
             const proto::InitialUeMessage msg = *init;
-            cpu_.execute(cfg_.route_cost,
+            cpu_.execute(kRouteCost,
                          [this, from, msg]() { route_initial(from, msg); });
             return;
           }
@@ -139,7 +146,7 @@ void SimpleLb::receive(NodeId from, const proto::Pdu& pdu) {
                        std::get_if<proto::UeContextReleaseComplete>(&family))
             code = c->mme_ue_id.mmp_id();
           const proto::S1apMessage msg = family;
-          cpu_.execute(cfg_.relay_cost, [this, from, code, msg]() {
+          cpu_.execute(kRelayCost, [this, from, code, msg]() {
             VmEntry* vm = by_code(code);
             if (vm == nullptr) return;
             proto::ClusterForward fwd;
@@ -157,7 +164,7 @@ void SimpleLb::receive(NodeId from, const proto::Pdu& pdu) {
               },
               family);
           const proto::S11Message msg = family;
-          cpu_.execute(cfg_.relay_cost, [this, from, code, msg]() {
+          cpu_.execute(kRelayCost, [this, from, code, msg]() {
             VmEntry* vm = by_code(code);
             if (vm == nullptr) return;
             proto::ClusterForward fwd;
@@ -174,7 +181,7 @@ void SimpleLb::receive(NodeId from, const proto::Pdu& pdu) {
                        std::get_if<proto::UpdateLocationAnswer>(&family))
             hop = u->hop_ref;
           const proto::S6Message msg = family;
-          cpu_.execute(cfg_.relay_cost, [this, from, hop, msg]() {
+          cpu_.execute(kRelayCost, [this, from, hop, msg]() {
             VmEntry* vm = by_node(hop);
             if (vm == nullptr) return;
             proto::ClusterForward fwd;
@@ -188,7 +195,7 @@ void SimpleLb::receive(NodeId from, const proto::Pdu& pdu) {
             SCALE_CHECK(reply->inner != nullptr);
             const NodeId target = reply->target;
             const proto::PduRef inner = reply->inner;
-            cpu_.execute(cfg_.relay_cost, [this, target, inner]() {
+            cpu_.execute(kRelayCost, [this, target, inner]() {
               fabric_.send(node_, target, inner->value);
             });
           } else if (const auto* load =

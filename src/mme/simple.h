@@ -44,8 +44,6 @@ class SimpleLb : public epc::Endpoint {
     std::uint8_t mme_code = 1;  ///< logical MME code exposed to eNodeBs
     std::uint16_t plmn = 1;
     std::uint16_t mme_group = 1;
-    Duration route_cost = Duration::us(30);
-    Duration relay_cost = Duration::us(20);
     /// Primary VM utilization above which requests go to the buddy.
     double overload_threshold = 0.9;
     double cpu_speed = 1.0;

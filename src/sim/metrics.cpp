@@ -34,8 +34,7 @@ const PercentileSampler& DelayRecorder::bucket(proto::ProcedureType p) const {
 }
 
 void DelayRecorder::record(const std::string& bucket, Duration delay) {
-  auto [it, inserted] = buckets_.try_emplace(bucket, cap_);
-  it->second.add(delay.to_ms());
+  buckets_[bucket].add(delay.to_ms());
 }
 
 bool DelayRecorder::has(const std::string& bucket) const {
@@ -50,7 +49,7 @@ const PercentileSampler& DelayRecorder::bucket(
 }
 
 PercentileSampler DelayRecorder::merged() const {
-  PercentileSampler all(cap_ ? cap_ * buckets_.size() : 0);
+  PercentileSampler all;
   for (const auto& [name, sampler] : buckets_)
     for (double s : sampler.samples()) all.add(s);
   return all;

@@ -46,11 +46,9 @@ struct FaultCounters {
                       const std::string& prefix) const;
 };
 
+/// Per-procedure delay samples; every sample is kept.
 class DelayRecorder {
  public:
-  /// cap > 0 reservoir-samples each bucket (0 keeps everything).
-  explicit DelayRecorder(std::size_t cap = 0) : cap_(cap) {}
-
   /// Typed overloads — the standard control procedures. The enum maps onto
   /// the same canonical bucket names procedure_name() yields, so typed and
   /// string callers share buckets; prefer the enum (typos become compile
@@ -74,7 +72,6 @@ class DelayRecorder {
                       const std::string& prefix) const;
 
  private:
-  std::size_t cap_;
   std::map<std::string, PercentileSampler> buckets_;
 };
 

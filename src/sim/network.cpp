@@ -32,10 +32,6 @@ Network::Network(Duration default_latency, std::uint64_t jitter_seed)
       jitter_rng_(jitter_seed),
       fault_rng_(jitter_seed ^ kFaultSeedSalt) {}
 
-void Network::set_default_latency(Duration latency) {
-  default_latency_ = latency;
-}
-
 void Network::set_latency(NodeId a, NodeId b, Duration latency,
                           bool symmetric) {
   SCALE_CHECK(latency >= Duration::zero());
@@ -247,7 +243,7 @@ FaultVerdict Network::fault_verdict(NodeId a, NodeId b, Time now) {
   }
   if (spec->reorder_prob > 0.0 && fault_rng_.chance(spec->reorder_prob)) {
     ++faults_.reorders;
-    v.extra_delay = spec->reorder_window;
+    v.extra_delay = LinkFaults::kReorderWindow;
     if (v.cause == FaultCause::kNone) v.cause = FaultCause::kReorder;
   }
   return v;

@@ -33,10 +33,12 @@ using NodeId = std::uint32_t;
 /// Stochastic fault spec for one link (or, as the global spec, for every
 /// link without a per-link override). Probabilities are per-PDU.
 struct LinkFaults {
+  /// Extra delay of a reordered PDU, so later sends overtake it.
+  static constexpr Duration kReorderWindow = Duration::ms(2.0);
+
   double drop_prob = 0.0;     ///< PDU silently lost
   double dup_prob = 0.0;      ///< PDU delivered twice
-  double reorder_prob = 0.0;  ///< PDU delayed by reorder_window (overtaken)
-  Duration reorder_window = Duration::ms(2.0);
+  double reorder_prob = 0.0;  ///< PDU delayed by kReorderWindow (overtaken)
 
   bool any() const {
     return drop_prob > 0.0 || dup_prob > 0.0 || reorder_prob > 0.0;
@@ -77,7 +79,6 @@ class Network {
   /// Set the one-way latency for (a -> b); with symmetric=true also (b -> a).
   void set_latency(NodeId a, NodeId b, Duration latency,
                    bool symmetric = true);
-  void set_default_latency(Duration latency);
 
   /// Data-center placement: nodes default to DC 0. A pair in different DCs
   /// without an explicit pair latency uses the DC-level latency matrix —

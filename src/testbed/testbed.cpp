@@ -7,6 +7,11 @@
 
 namespace scale::testbed {
 
+namespace {
+/// One-way latency of every intra-DC link without an explicit setting.
+constexpr Duration kDefaultLatency = Duration::us(500);
+}  // namespace
+
 std::vector<epc::EnodeB*> Testbed::Site::enb_ptrs() const {
   std::vector<epc::EnodeB*> out;
   out.reserve(enbs.size());
@@ -22,9 +27,8 @@ std::vector<epc::Ue*> Testbed::Site::ue_ptrs() const {
 }
 
 Testbed::Testbed(Config cfg)
-    : cfg_(cfg), network_(cfg.default_latency, cfg.seed ^ 0xABCD),
-      fabric_(engine_, network_), delays_(cfg.delay_sample_cap),
-      rng_(cfg.seed) {
+    : cfg_(cfg), network_(kDefaultLatency, cfg.seed ^ 0xABCD),
+      fabric_(engine_, network_), rng_(cfg.seed) {
   // Must precede every endpoint: each ReliableChannel snapshots the
   // fabric's transport config at construction.
   fabric_.set_transport(cfg.transport);

@@ -6,6 +6,12 @@
 
 namespace scale::workload {
 
+namespace {
+/// Draws when the sampled device cannot run the sampled procedure (busy,
+/// wrong state) before the arrival is dropped.
+constexpr unsigned kResampleAttempts = 8;
+}  // namespace
+
 // -------------------------------------------------------------- OpenLoopDriver
 
 OpenLoopDriver::OpenLoopDriver(sim::Engine& engine, std::vector<Ue*> devices,
@@ -71,7 +77,7 @@ bool OpenLoopDriver::fire_one() {
   const std::array<double, 5> weights = {cfg_.mix.attach,
                                          cfg_.mix.service_request, cfg_.mix.tau,
                                          cfg_.mix.handover, cfg_.mix.detach};
-  for (unsigned attempt = 0; attempt < cfg_.resample_attempts; ++attempt) {
+  for (unsigned attempt = 0; attempt < kResampleAttempts; ++attempt) {
     Ue& ue = *devices_[static_cast<std::size_t>(
         rng_.next_below(devices_.size()))];
     const int which = static_cast<int>(rng_.weighted_index(weights));

@@ -33,9 +33,6 @@ class OpenLoopDriver {
   struct Config {
     double rate_per_sec = 100.0;
     ProcedureMix mix;
-    /// Retries when the sampled device cannot run the sampled procedure
-    /// (busy, wrong state) before the arrival is dropped.
-    unsigned resample_attempts = 8;
     std::uint64_t seed = 11;
   };
 

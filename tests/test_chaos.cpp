@@ -261,8 +261,6 @@ TwoDcRun two_dc_partition_run() {
     clusters.push_back(std::make_unique<core::ScaleCluster>(
         tb.fabric(), sites[dc]->sgw->node(), tb.hss().node(), cfg));
     clusters[dc]->connect_enb(*sites[dc]->enbs[0]);
-    tb.assign_dc(clusters[dc]->mlb().node(), dc);
-    for (auto& mmp : clusters[dc]->mmps()) tb.assign_dc(mmp->node(), dc);
   }
   for (auto& c : clusters) c->start();
 

@@ -233,9 +233,21 @@ TEST(Elasticity, ResyncRunsOnlyAfterMembershipChurn) {
   }
 }
 
+TEST(Elasticity, ResizedMmpSitsInClusterDc) {
+  // A VM added by a later resize() must land in the cluster's DC, not in
+  // the network's default DC 0.
+  core::ScaleCluster::Config cfg;
+  cfg.home_dc = 2;
+  ElasticWorld w(cfg, 2);
+  auto& net = w.tb.network();
+  EXPECT_EQ(net.dc_of(w.cluster->mlb().node()), 2u);
+  for (auto& mmp : w.cluster->mmps()) EXPECT_EQ(net.dc_of(mmp->node()), 2u);
+  ASSERT_EQ(w.cluster->resize(3), 1u);
+  EXPECT_EQ(net.dc_of(w.cluster->mmps().back()->node()), 2u);
+}
+
 TEST(Elasticity, AccessFrequencyTracksActivity) {
   core::ScaleCluster::Config cfg;
-  cfg.wi_alpha = 0.5;
   ElasticWorld w(cfg, 2);
   epc::Ue& active = w.tb.make_ue(*w.site, 0, 0.9);
   epc::Ue& dormant = w.tb.make_ue(*w.site, 0, 0.1);

@@ -1,6 +1,6 @@
 // eNodeB emulator behaviours in isolation, observed through a scripted
 // MME-side probe endpoint: static assignment rules, weighted selection,
-// exclusion on redirect, S1 connection bookkeeping.
+// exclusion on redirect, S1 connection bookkeeping, OverloadStart pacing.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -24,13 +24,16 @@ class MmeProbe : public Endpoint {
 
   void receive(NodeId, const proto::Pdu& pdu) override {
     if (const auto* s1ap = std::get_if<proto::S1apMessage>(&pdu)) {
-      if (std::holds_alternative<proto::InitialUeMessage>(*s1ap))
+      if (std::holds_alternative<proto::InitialUeMessage>(*s1ap)) {
         ++initial_count;
+        initial_at.push_back(fabric_.engine().now());
+      }
     }
   }
 
   NodeId node() const { return node_; }
   int initial_count = 0;
+  std::vector<Time> initial_at;  ///< arrival time of each initial
 
  private:
   Fabric& fabric_;
@@ -70,6 +73,42 @@ TEST(EnodeB, WeightedSelectionFollowsWeights) {
       static_cast<double>(w.mme_b.initial_count) /
       (w.mme_a.initial_count + w.mme_b.initial_count);
   EXPECT_NEAR(share_b, 0.75, 0.04);
+}
+
+TEST(EnodeB, OverloadStartPacesInitialsAndCapsAtHorizon) {
+  World w;
+  w.enb.add_mme(w.mme_a.node(), 1, 1.0);
+  proto::OverloadStart start;
+  start.level = 1;
+  start.window_us = 1'000'000;  // outlasts the whole herd below
+  w.fabric.send(w.mme_a.node(), w.enb.node(),
+                proto::make_pdu(proto::S1apMessage{start}));
+  w.engine.run_until(Time::from_sec(0.01));
+
+  // A herd arriving at one instant: the grid takes kOverloadPaceHorizon /
+  // kOverloadPace initials, one per kOverloadPace; the rest pass straight
+  // through, ahead of the grid.
+  const auto depth = static_cast<std::size_t>(EnodeB::kOverloadPaceHorizon /
+                                              EnodeB::kOverloadPace);
+  ASSERT_EQ(depth, 25u);
+  const std::size_t extra = 5;
+  std::vector<std::unique_ptr<Ue>> ues;
+  for (std::size_t i = 0; i < depth + extra; ++i) {
+    ues.push_back(make_ue(w, 3000 + i));
+    ues.back()->attach();
+  }
+  w.engine.run();
+
+  EXPECT_EQ(w.enb.paced_initials(), depth);
+  auto& at = w.mme_a.initial_at;
+  ASSERT_EQ(at.size(), depth + extra);
+  std::sort(at.begin(), at.end());
+  for (std::size_t i = 0; i < extra; ++i)
+    EXPECT_EQ(at[i], at[0]) << "unpaced initial " << i;
+  for (std::size_t k = 1; k <= depth; ++k)
+    EXPECT_EQ(at[extra + k - 1] - at[0],
+              EnodeB::kOverloadPace * static_cast<double>(k))
+        << "grid slot " << k;
 }
 
 TEST(EnodeB, GutiCodePinsRegisteredDevices) {

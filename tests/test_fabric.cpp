@@ -95,14 +95,15 @@ TEST_F(FabricTest, ReorderFaultDelaysDelivery) {
   Probe a(fabric), b(fabric);
   sim::LinkFaults f;
   f.reorder_prob = 1.0;
-  f.reorder_window = Duration::ms(5.0);
   net.set_global_faults(f);
   fabric.send(a.node, b.node, ping(3));
-  // Normal latency alone is not enough...
-  engine.run_until(Time::zero() + Duration::ms(4.0));
+  // Normal latency (0.5 ms) alone is not enough...
+  const Time lands = Time::zero() + Duration::us(500) +
+                     sim::LinkFaults::kReorderWindow;
+  engine.run_until(lands - Duration::us(1));
   EXPECT_TRUE(b.got.empty());
-  // ...the PDU lands after latency + reorder_window.
-  engine.run_until(Time::zero() + Duration::ms(6.0));
+  // ...the PDU lands after latency + kReorderWindow.
+  engine.run_until(lands);
   EXPECT_EQ(b.got.size(), 1u);
   EXPECT_EQ(net.fault_counters().reorders, 1u);
 }

@@ -36,9 +36,6 @@ struct GeoWorld {
       clusters.push_back(std::make_unique<core::ScaleCluster>(
           tb.fabric(), sites[dc]->sgw->node(), tb.hss().node(), cfg));
       clusters[dc]->connect_enb(*sites[dc]->enbs[0]);
-      tb.assign_dc(clusters[dc]->mlb().node(), dc);
-      for (auto& mmp : clusters[dc]->mmps())
-        tb.assign_dc(mmp->node(), dc);
     }
     for (std::uint32_t a = 0; a < dcs; ++a) {
       for (std::uint32_t b = 0; b < dcs; ++b) {

@@ -34,8 +34,6 @@ struct EvictWorld {
       clusters.push_back(std::make_unique<core::ScaleCluster>(
           tb.fabric(), sites[dc]->sgw->node(), tb.hss().node(), cfg));
       clusters[dc]->connect_enb(*sites[dc]->enbs[0]);
-      tb.assign_dc(clusters[dc]->mlb().node(), dc);
-      for (auto& mmp : clusters[dc]->mmps()) tb.assign_dc(mmp->node(), dc);
     }
     for (int a = 0; a < 2; ++a)
       for (int b = 0; b < 2; ++b)

@@ -58,7 +58,9 @@ TEST(Mlb, DeviceLandsOnPreferenceListVm) {
   w.tb.run_for(Duration::sec(2.0));
   ASSERT_TRUE(ue.registered());
   const std::uint64_t key = ue.guti()->key();
-  const auto prefs = w.cluster->ring().preference_list(key, 2);
+  std::vector<hash::RingNodeId> prefs;
+  w.cluster->ring().preference_list(key, 2, prefs);
+  ASSERT_EQ(prefs.size(), 2u);
   // The context must live on the master or the replica target VM.
   bool found = false;
   for (auto& mmp : w.cluster->mmps()) {

@@ -25,9 +25,6 @@ struct Harness {
 
   explicit Harness(MmeApp::Config cfg = {}) {
     cfg.hop_ref = 42;
-    // engine.run() drains to empty; the 5 s inactivity timer would fire
-    // within these step-by-step tests, so keep it out of the sequences.
-    cfg.enable_inactivity_timer = false;
     app = std::make_unique<MmeApp>(
         engine, cpu, cfg,
         MmeAppHooks{
@@ -57,17 +54,21 @@ struct Harness {
         });
   }
 
+  // Each step runs 100 ms of simulated time: enough for every CPU slice of
+  // one procedure step, while the 5 s inactivity timer stays pending and
+  // out of the message sequences.
+  void settle() { engine.run_until(engine.now() + Duration::ms(100.0)); }
   void s1ap(const proto::S1apMessage& m) {
     app->handle_s1ap(/*enb=*/500, m);
-    engine.run();
+    settle();
   }
   void s11(const proto::S11Message& m) {
     app->handle_s11(m);
-    engine.run();
+    settle();
   }
   void s6(const proto::S6Message& m) {
     app->handle_s6(m);
-    engine.run();
+    settle();
   }
 
   proto::InitialUeMessage initial(proto::NasMessage nas) {

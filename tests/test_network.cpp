@@ -146,12 +146,11 @@ TEST(FaultPlane, StochasticDropDupReorder) {
   f.drop_prob = 0.0;
   f.dup_prob = 1.0;
   f.reorder_prob = 1.0;
-  f.reorder_window = Duration::ms(7.0);
   net.set_global_faults(f);
   const FaultVerdict v = net.fault_verdict(1, 2, Time::zero());
   EXPECT_TRUE(v.deliver);
   EXPECT_TRUE(v.duplicate);
-  EXPECT_EQ(v.extra_delay, Duration::ms(7.0));
+  EXPECT_EQ(v.extra_delay, Duration::ms(2.0));
   EXPECT_EQ(net.fault_counters().duplicates, 1u);
   EXPECT_EQ(net.fault_counters().reorders, 1u);
 }

@@ -124,7 +124,6 @@ TEST(OverloadGovernor, ShedRankOrdersTauBeforeSrBeforeAttach) {
 
 TEST(OverloadGovernor, PagingDeferStretchesWithLevelAndCaps) {
   auto cfg = governor_cfg();
-  cfg.paging_defer_unit = Duration::ms(100.0);
   cfg.max_paging_defer = Duration::ms(300.0);
   OverloadGovernor g(cfg);
 

@@ -145,7 +145,7 @@ TEST_F(ReliableTest, AbandonsAfterMaxRetransmits) {
   engine.run_until(Time::from_sec(100.0));
   EXPECT_TRUE(b.got.empty());
   EXPECT_EQ(a.rel.abandoned(), 1u);
-  EXPECT_EQ(a.rel.retransmits(), fabric.transport().max_retransmits);
+  EXPECT_EQ(a.rel.retransmits(), epc::TransportConfig::kMaxRetransmits);
 }
 
 TEST_F(ReliableTest, BackoffScheduleIsJitterlessAndCapped) {
@@ -170,21 +170,14 @@ TEST_F(ReliableTest, BackoffScheduleIsJitterlessAndCapped) {
   // The capped RTO (4 s) runs out once more, then the send is abandoned.
   engine.run_until(Time::from_sec(100.0));
   EXPECT_EQ(a.rel.abandoned(), 1u);
-  EXPECT_EQ(a.rel.retransmits(), fabric.transport().max_retransmits);
+  EXPECT_EQ(a.rel.retransmits(), epc::TransportConfig::kMaxRetransmits);
 }
 
 TEST_F(ReliableTest, RetryHorizonMatchesBackoffSchedule) {
-  // Defaults: 250 + 500 + 1000 + 2000 + 4 × 4000 (capped) = 19750 ms — the
-  // instant of the last retransmission above.
-  EXPECT_EQ(epc::TransportConfig{}.retry_horizon(), Duration::ms(19750.0));
-
-  epc::TransportConfig t;
-  t.rto_initial = Duration::ms(100.0);
-  t.rto_backoff = 3.0;
-  t.rto_max = Duration::ms(500.0);
-  t.max_retransmits = 4;
-  // 100 + 300 + 500 + 500 (capped): the cap binds from the third RTO on.
-  EXPECT_EQ(t.retry_horizon(), Duration::ms(1400.0));
+  // 250 + 500 + 1000 + 2000 + 4 × 4000 (capped) = 19750 ms — the instant of
+  // the last retransmission above.
+  static_assert(epc::TransportConfig::retry_horizon() ==
+                Duration::ms(19750.0));
 }
 
 TEST_F(ReliableTest, CrashedSenderStopsRetransmitting) {

@@ -42,22 +42,6 @@ TEST(ReplicationPolicy, ProbabilityScaleProportionalToWi) {
   EXPECT_NEAR(lo / static_cast<double>(n), 0.2, 0.01);
 }
 
-TEST(ReplicationPolicy, AccessUnawareUsesUniformProbability) {
-  ReplicationPolicy p;
-  p.access_aware = false;
-  p.uniform_probability = 0.4;
-  Rng rng(9);
-  const int n = 100000;
-  int hi = 0, lo = 0;
-  for (int i = 0; i < n; ++i) {
-    hi += p.should_replicate(0.9, rng) ? 1 : 0;
-    lo += p.should_replicate(0.05, rng) ? 1 : 0;
-  }
-  // wi must not matter in the unaware baseline.
-  EXPECT_NEAR(hi / static_cast<double>(n), 0.4, 0.01);
-  EXPECT_NEAR(lo / static_cast<double>(n), 0.4, 0.01);
-}
-
 TEST(ReplicationPolicy, ZeroScaleBlocksAll) {
   ReplicationPolicy p;
   p.probability_scale = 0.0;

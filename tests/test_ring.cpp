@@ -23,7 +23,8 @@ TEST(Ring, EmptyRingRejectsLookups) {
   ConsistentHashRing ring;
   EXPECT_TRUE(ring.empty());
   EXPECT_THROW(ring.owner(1), scale::CheckError);
-  EXPECT_THROW(ring.preference_list(1, 2), scale::CheckError);
+  std::vector<RingNodeId> prefs;
+  EXPECT_THROW(ring.preference_list(1, 2, prefs), scale::CheckError);
 }
 
 TEST(Ring, AddRemoveMembership) {
@@ -55,8 +56,9 @@ TEST(Ring, OwnerIsDeterministic) {
 
 TEST(Ring, PreferenceListDistinctAndStartsAtOwner) {
   auto ring = make_ring(5, {10, 20, 30, 40, 50});
+  std::vector<RingNodeId> prefs;
   for (std::uint64_t key = 0; key < 500; ++key) {
-    const auto prefs = ring.preference_list(key, 3);
+    ring.preference_list(key, 3, prefs);
     ASSERT_EQ(prefs.size(), 3u);
     EXPECT_EQ(prefs[0], ring.owner(key));
     std::set<RingNodeId> uniq(prefs.begin(), prefs.end());
@@ -66,7 +68,8 @@ TEST(Ring, PreferenceListDistinctAndStartsAtOwner) {
 
 TEST(Ring, PreferenceListCappedByNodeCount) {
   auto ring = make_ring(5, {1, 2});
-  const auto prefs = ring.preference_list(7, 10);
+  std::vector<RingNodeId> prefs;
+  ring.preference_list(7, 10, prefs);
   EXPECT_EQ(prefs.size(), 2u);
 }
 
@@ -76,7 +79,9 @@ TEST(Ring, PreferenceListIntoCallerVectorMatchesAndReuses) {
   for (std::uint64_t key = 0; key < 500; ++key) {
     const std::size_t n = 1 + key % 6;  // up to more than the node count
     ring.preference_list(key, n, scratch);
-    EXPECT_EQ(scratch, ring.preference_list(key, n)) << "key " << key;
+    std::vector<RingNodeId> fresh;
+    ring.preference_list(key, n, fresh);
+    EXPECT_EQ(scratch, fresh) << "key " << key;
   }
   const RingNodeId* storage = scratch.data();
   ring.preference_list(7, 3, scratch);
@@ -87,15 +92,18 @@ TEST(Ring, PreferenceListIntoCallerVectorMatchesAndReuses) {
 
 TEST(Ring, ReplicaOfSingleNodeIsNull) {
   auto ring = make_ring(5, {1});
-  EXPECT_FALSE(ring.replica_of(123).has_value());
+  std::vector<RingNodeId> prefs;
+  ring.preference_list(123, 2, prefs);
+  EXPECT_EQ(prefs.size(), 1u) << "no replica target besides the owner";
 }
 
 TEST(Ring, ReplicaDiffersFromOwner) {
   auto ring = make_ring(5, {1, 2, 3});
+  std::vector<RingNodeId> prefs;
   for (std::uint64_t key = 0; key < 300; ++key) {
-    const auto rep = ring.replica_of(key);
-    ASSERT_TRUE(rep.has_value());
-    EXPECT_NE(*rep, ring.owner(key));
+    ring.preference_list(key, 2, prefs);
+    ASSERT_EQ(prefs.size(), 2u);
+    EXPECT_NE(prefs[1], ring.owner(key));
   }
 }
 
@@ -199,8 +207,9 @@ TEST_P(RingTokenSweep, PreferenceListInvariants) {
   const unsigned tokens = GetParam();
   ConsistentHashRing ring(ConsistentHashRing::Config{tokens});
   for (RingNodeId n = 1; n <= 8; ++n) ring.add_node(n);
+  std::vector<RingNodeId> prefs;
   for (std::uint64_t key = 1; key < 400; key += 7) {
-    const auto prefs = ring.preference_list(key, 4);
+    ring.preference_list(key, 4, prefs);
     ASSERT_EQ(prefs.size(), 4u);
     std::set<RingNodeId> uniq(prefs.begin(), prefs.end());
     EXPECT_EQ(uniq.size(), prefs.size());
